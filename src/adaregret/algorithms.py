@@ -98,7 +98,7 @@ class RoundRecord:
     optimism_residual: float | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class MetaLogRow:
     """Measured meta-regret of one slot over (a prefix of) its lifetime."""
 
@@ -335,14 +335,17 @@ class UMA2Grid(_SleepingLearner):
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
         self.moduli = rate_grid(cfg.horizon)
+        # one tag string per modulus, not one per expert: the meta log keeps every tag
+        self._ons_tags = [f"ons[{float(a)!r}]" for a in self.moduli]
+        self._sc_tags = [f"ogd-sc[{float(lam)!r}]" for lam in self.moduli]
 
     def _build(self, interval: GCInterval) -> list[Any]:
         experts: list[Any] = [OGDFixed(self.domain, self.G, interval.length)]
-        for a in self.moduli:
+        for a, tag in zip(self.moduli, self._ons_tags):
             curv = exp_concave_beta(self.G, self.D, float(a))
-            experts.append(ONSCore(self.domain, curv, tag=f"ons[{float(a)!r}]"))
-        for lam in self.moduli:
-            experts.append(OGDStronglyConvex(self.domain, float(lam)))
+            experts.append(ONSCore(self.domain, curv, tag=tag))
+        for lam, tag in zip(self.moduli, self._sc_tags):
+            experts.append(OGDStronglyConvex(self.domain, float(lam), tag=tag))
         return experts
 
     def _update_experts(self, loss: LossSpec, g: Array, w: Array, t: int) -> None:

@@ -7,7 +7,10 @@ Artifacts written to the output directory:
   meta.csv        per-slot meta-regret measurements against their guarantees
   manifest.json   normalized config, seed, and sha256 hashes of every artifact
 
-Exit status is 0 iff every runtime invariant held.
+Exit status: 0 when the run finished and every runtime invariant held;
+1 on an invariant violation; 2 on an unreadable or invalid config (and on
+command-line usage errors); 3 when a numerical solver (a comparator or a
+learner's inner solve) hit its step cap before reaching its tolerance.
 """
 from __future__ import annotations
 
@@ -28,7 +31,7 @@ from .algorithms import (
     LearnerConfig,
     build_learner,
 )
-from .core import Domain, InputError, InvariantViolation, Regularizer
+from .core import ConvergenceError, Domain, InputError, InvariantViolation, Regularizer
 from .harness import (
     SegmentSpec,
     StreamConfig,
@@ -246,7 +249,11 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
             alpha=cfg.get("alpha"),
         )
     )
-    records = [learner.run_round(ev) for ev in events]
+    records = []
+    for ev in events:
+        rec = learner.run_round(ev)
+        rec.weights = rec.points = None  # per-expert arrays, O(n d) a round; unused here
+        records.append(rec)
     meta_rows = learner.finish()
     points = [rec.w for rec in records]
 
@@ -379,7 +386,7 @@ def self_check() -> int:
                     failures.append(f"{algo}: rerun artifacts differ")
                 else:
                     print(f"ok {algo} content={m1['content_hash'][:12]}")
-            except (InputError, InvariantViolation) as exc:
+            except (InputError, InvariantViolation, ConvergenceError) as exc:
                 failures.append(f"{algo}: {exc}")
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
@@ -429,6 +436,10 @@ def main(argv: list[str] | None = None) -> int:
     except InvariantViolation as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         return 1
+    except ConvergenceError as exc:
+        residual = "" if exc.residual is None else f" (residual {exc.residual:.3g})"
+        print(f"solver did not converge: {exc}{residual}", file=sys.stderr)
+        return 3
     print(
         f"wrote {args.out}/trajectory.csv regret.csv meta.csv manifest.json "
         f"(content {manifest['content_hash'][:12]})"

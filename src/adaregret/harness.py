@@ -328,6 +328,109 @@ def _prox_gradient_quadratic(
     raise ConvergenceError("comparator quadratic solve did not converge", residual=move)
 
 
+# The generic comparator stops once its best value is within this relative gap
+# of its certified lower bound: best - lower <= _GAP_TOL * (1 + |best|).
+_GAP_TOL = 1e-9
+# Step cap, as a multiple of the 2m(m+1) ln(1/tol) central cuts that the
+# ellipsoid's volume argument needs in m dimensions.
+_ELLIPSOID_CAP_FACTOR = 10
+
+
+def _reg_subgradient(reg: Regularizer, w: Array) -> Array:
+    if reg.is_zero:
+        return np.zeros_like(w)
+    if reg.kind == "l1":
+        return reg.weight * np.sign(w)
+    return 2.0 * reg.weight * w
+
+
+def _ellipsoid_minimize(
+    ev: _WindowEval, domain: Domain, cap: int | None = None
+) -> tuple[Array, float, float]:
+    """Central-cut ellipsoid method on the window's sum objective.
+
+    Returns (w, value, lower): a feasible w, value = ev.value_sum(w), and a
+    certified lower bound on the minimum over the domain with
+    value - lower <= _GAP_TOL * (1 + |value|).
+
+    The ellipsoid E = {c + J z : ||z|| <= 1} (shape P = J J^T) starts as the
+    domain's enclosing ball; coordinates a box pins (lower == upper) are held
+    fixed. An infeasible centre is cut by the domain: the outward normal for a
+    ball, the most violated coordinate for a box. A feasible centre w_k takes
+    an objective cut on a subgradient g_k. No cut removes a minimizer, so
+    f(w_k) - ||J^T g_k|| = f(w_k) - sqrt(g_k^T P g_k) bounds the minimum from
+    below; the bound also gives up a round-off allowance for the rounding
+    error accumulated in c and J. J is updated in square-root form, which
+    keeps the thin axes of a long, flat ellipsoid that an update of P would
+    lose to cancellation.
+    Raises ConvergenceError when the step cap runs out or J turns singular;
+    it never returns an uncertified value.
+    """
+    if domain.kind == "ball":
+        free = np.ones(domain.dim, dtype=bool)
+        origin, radius = domain.center, domain.radius
+    else:
+        free = domain.upper > domain.lower
+        lo, hi = domain.lower[free], domain.upper[free]
+        origin, radius = 0.5 * (lo + hi), 0.5 * float(np.linalg.norm(hi - lo))
+    w = domain.center
+    m = int(np.count_nonzero(free))
+    if m == 0:
+        value = ev.value_sum(w)
+        return w, value, value
+    if cap is None:
+        cap = _ELLIPSOID_CAP_FACTOR * math.ceil(2 * m * (m + 1) * math.log(1.0 / _GAP_TOL))
+    c = origin.copy()
+    J = radius * np.eye(m)
+    drift = 0.0  # round-off allowance: the true ellipsoid lies within this of E
+    best_w, best, lower = w, math.inf, -math.inf
+    for _ in range(cap):
+        if domain.kind == "ball":
+            off = c - origin
+            dist = float(np.linalg.norm(off))
+            feasible = dist <= radius
+            if not feasible:
+                a = off / dist
+        else:
+            excess = np.maximum(c - hi, lo - c)
+            i = int(np.argmax(excess))
+            feasible = excess[i] <= 0.0
+            if not feasible:
+                a = np.zeros(m)
+                a[i] = 1.0 if c[i] > hi[i] else -1.0
+        if feasible:
+            w = w.copy()
+            w[free] = c
+            value = ev.value_sum(w)
+            a = ev.n * (ev.mean_grad(w) + _reg_subgradient(ev.reg, w))[free]
+        p = J.T @ a
+        width = float(np.linalg.norm(p))  # sqrt(a^T P a)
+        if feasible:
+            if value < best:
+                best_w, best = w, value
+            lower = max(lower, value - width - drift * float(np.linalg.norm(a)))
+            if best - lower <= _GAP_TOL * (1.0 + abs(best)):
+                return best_w, best, lower
+        if not width > 0.0:
+            raise ConvergenceError("comparator ellipsoid turned singular", residual=best - lower)
+        u = p / width
+        Ju = J @ u
+        c = c - Ju / (m + 1)
+        if m == 1:
+            J = 0.5 * J
+        else:
+            J = (m / math.sqrt(m * m - 1.0)) * (
+                J + (math.sqrt((m - 1.0) / (m + 1.0)) - 1.0) * np.outer(Ju, u)
+            )
+        drift += 4.0 * (m + 1) * np.finfo(float).eps * (
+            float(np.linalg.norm(J)) + float(np.linalg.norm(c))
+        )
+    raise ConvergenceError(
+        f"comparator ellipsoid method did not certify its gap in {cap} steps",
+        residual=best - lower,
+    )
+
+
 def offline_comparator(
     events: Sequence[LossSpec],
     p: int,
@@ -335,14 +438,22 @@ def offline_comparator(
     domain: Domain,
     reg: Regularizer | None = None,
     G: float | None = None,
-    seed: int = 0,
 ) -> tuple[Array, float]:
     """Best fixed point over [p, q]: returns (w*, sum-objective value at w*).
 
-    Exact closed forms whenever the window admits them (pure linear sums,
-    quadratic-structure sums, any one-dimensional window); otherwise projected
-    (proximal) gradient descent on the mean objective with 5 seeded restarts,
-    2000 iterations, diminishing steps D/(G sqrt k), keeping the best iterate.
+    The path, and the accuracy of the value it returns, depend on the window:
+      one-dimensional windows: scipy's bounded Brent search with xatol 1e-11,
+          which also stops on its relative term sqrt(eps)*|x|, so the
+          minimizer is located to about 1.5e-8*|x|;
+      d >= 2, pure linear sums, or quadratic-structure sums (linear,
+          quadratic, squared prediction) without an l1 term whose
+          unconstrained minimizer is feasible: closed form, exact up to
+          round-off;
+      d >= 2, other quadratic-structure sums: projected (proximal) gradient,
+          stopped when a step moves the iterate by at most 1e-12;
+      d >= 2 with absolute or log-like terms: the central-cut ellipsoid
+          method, stopped on a certified gap value - lower <= 1e-9 (1 + |value|).
+    G is accepted for call compatibility; no path uses it.
     """
     if not (1 <= p <= q <= len(events)):
         raise InputError(f"interval [{p},{q}] outside the stream of length {len(events)}")
@@ -398,25 +509,9 @@ def offline_comparator(
         )
         return finish(w_star)
 
-    # generic path: projected (proximal) subgradient with restarts
-    if G is None:
-        bounds = [e.gradient_bound for e in window if e.gradient_bound]
-        G = max(bounds) if bounds else 1.0
-    rng = np.random.default_rng(seed)
-    D = domain.diameter
-    starts = [domain.project(domain.center)] + [domain.sample(rng) for _ in range(4)]
-    best_w = starts[0]
-    best_val = ev.value_sum(best_w)
-    for w0 in starts:
-        z = np.array(w0, dtype=float)
-        for k in range(1, 2001):
-            step = D / (G * math.sqrt(k))
-            z = domain.project(reg.prox(z - step * ev.mean_grad(z), step))
-            val = ev.value_sum(z)
-            if val < best_val:
-                best_val = val
-                best_w = z.copy()
-    return finish(best_w)
+    # generic path: central-cut ellipsoid method with a certified gap
+    w_star, _, _ = _ellipsoid_minimize(ev, domain)
+    return finish(w_star)
 
 
 # ---------------------------------------------------------------------------

@@ -230,6 +230,30 @@ def test_main_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_main_convergence_error_exit_code(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+
+    def stall(cfg, out):
+        raise ar.ConvergenceError("synthetic stall", residual=0.5)
+
+    monkeypatch.setattr(cli, "run_experiment", stall)
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "solver did not converge" in err and "synthetic stall" in err and "0.5" in err
+
+
+def test_self_check_records_convergence_error(monkeypatch, capsys):
+    def stall(cfg, out):
+        raise ar.ConvergenceError("synthetic stall", residual=0.5)
+
+    monkeypatch.setattr(cli, "run_experiment", stall)
+    assert cli.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("FAIL ") == len(ar.ALGORITHMS)
+    assert "synthetic stall" in err
+
+
 def test_main_requires_config():
     with pytest.raises(SystemExit) as exc:
         cli.main([])
