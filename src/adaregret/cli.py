@@ -268,6 +268,17 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
         ["t", "loss", "cum_loss", "active_experts", "grad_evals"],
         traj_rows,
     )
+    _write_csv(
+        out_dir / "meta.csv",
+        ["start", "end", "s_eff", "tag", "lhs", "rhs", "sq_dev", "n_created"],
+        [
+            (m.start, m.end, m.s_eff, m.tag, m.lhs, m.rhs, m.sq_dev, m.n_created)
+            for m in meta_rows
+        ],
+    )
+    # finish() hands back the learner's own log: release it before the
+    # evaluation, which needs the memory
+    meta_rows.clear()
 
     function_type, modulus = stream_cfg.declared_profile()
     bound_fn = None
@@ -309,15 +320,6 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
         out_dir / "regret.csv",
         ["p", "q", "tau", "empirical_regret", "bound_rhs", "ratio"],
         regret_rows,
-    )
-
-    _write_csv(
-        out_dir / "meta.csv",
-        ["start", "end", "s_eff", "tag", "lhs", "rhs", "sq_dev", "n_created"],
-        [
-            (m.start, m.end, m.s_eff, m.tag, m.lhs, m.rhs, m.sq_dev, m.n_created)
-            for m in meta_rows
-        ],
     )
 
     artifacts = {
@@ -418,7 +420,12 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--config is required unless --check is given")
 
     try:
-        raw = json.loads(args.config.read_text())
+        text = args.config.read_text()
+    except OSError as exc:
+        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return 2
+    try:
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
         print(f"error: config is not valid JSON: {exc}", file=sys.stderr)
         return 2

@@ -21,10 +21,6 @@ class UsageError(RuntimeError):
     """API called out of protocol (wrong order, wrong state)."""
 
 
-class NumericalError(ArithmeticError):
-    """A numeric quantity left its admissible range."""
-
-
 class ConvergenceError(RuntimeError):
     """An iterative solver hit its cap before reaching tolerance."""
 
@@ -137,10 +133,6 @@ class Domain:
         return rng.uniform(self.lower, self.upper)
 
 
-def project(domain: Domain, x: Any) -> Array:
-    return domain.project(x)
-
-
 # ---------------------------------------------------------------------------
 # Regularizers
 
@@ -197,10 +189,6 @@ class Regularizer:
                 one_norm = float(np.sum(np.maximum(np.abs(domain.lower), np.abs(domain.upper))))
             return self.weight * one_norm
         return self.weight * domain.max_norm() ** 2
-
-
-def prox(reg: Regularizer, x: Any, scale: float) -> Array:
-    return reg.prox(x, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -266,10 +254,6 @@ class LossSpec:
         margin = -p["y"] * float(np.dot(p["x"], v))
         sigma = 1.0 / (1.0 + np.exp(-margin))
         return (-p["y"] * sigma) * p["x"]
-
-
-def eval_grad(loss: LossSpec, w: Any) -> tuple[float, Array]:
-    return loss.value(w), loss.grad(w)
 
 
 def exp_concave_beta(G: float, D: float, alpha: float) -> float:

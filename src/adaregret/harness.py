@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import (
     Array,
@@ -204,30 +203,37 @@ def stream_rows(events: Sequence[LossSpec]) -> list[tuple]:
 # Offline comparator
 
 
+def _by_family(events: Sequence[LossSpec]) -> dict[str, dict[str, Array]]:
+    """Each family's params stacked in event order, families in order of first
+    appearance."""
+    by_family: dict[str, list[LossSpec]] = {}
+    for ev in events:
+        by_family.setdefault(ev.family, []).append(ev)
+    groups: dict[str, dict[str, Array]] = {}
+    for fam, evs in by_family.items():
+        if fam == "linear":
+            groups[fam] = {"g": np.stack([e.params["g"] for e in evs])}
+        elif fam in ("absolute", "squared-prediction", "log-like"):
+            groups[fam] = {
+                "x": np.stack([e.params["x"] for e in evs]),
+                "y": np.array([e.params["y"] for e in evs]),
+            }
+        else:
+            groups[fam] = {
+                "u": np.stack([e.params["u"] for e in evs]),
+                "lam": np.array([e.params["lam"] for e in evs]),
+                "b": np.stack([e.params["b"] for e in evs]),
+            }
+    return groups
+
+
 class _WindowEval:
     """Vectorized sum-objective evaluation over a window of events."""
 
     def __init__(self, events: Sequence[LossSpec], reg: Regularizer | None):
         self.n = len(events)
         self.reg = reg if reg is not None else Regularizer()
-        self.groups: dict[str, dict[str, Array]] = {}
-        by_family: dict[str, list[LossSpec]] = {}
-        for ev in events:
-            by_family.setdefault(ev.family, []).append(ev)
-        for fam, evs in by_family.items():
-            if fam == "linear":
-                self.groups[fam] = {"g": np.stack([e.params["g"] for e in evs])}
-            elif fam in ("absolute", "squared-prediction", "log-like"):
-                self.groups[fam] = {
-                    "x": np.stack([e.params["x"] for e in evs]),
-                    "y": np.array([e.params["y"] for e in evs]),
-                }
-            else:
-                self.groups[fam] = {
-                    "u": np.stack([e.params["u"] for e in evs]),
-                    "lam": np.array([e.params["lam"] for e in evs]),
-                    "b": np.stack([e.params["b"] for e in evs]),
-                }
+        self.groups = _by_family(events)
 
     def value_sum(self, w: Array) -> float:
         total = 0.0
@@ -266,6 +272,272 @@ class _WindowEval:
                 diff = w[None, :] - g["u"]
                 grad += g["lam"] @ diff + np.sum(g["b"], axis=0)
         return grad / self.n
+
+
+# Windows x rounds evaluated per batched call; bounds the evaluation's scratch
+# memory at a few MB whatever the number and length of the windows.
+_CHUNK_ELEMENTS = 1 << 16
+
+
+def _inner(X: Array, W: Array) -> Array:
+    """Inner products <X[k, j], W[k]>, shape (K, n), for X of shape (K or 1, n, d).
+
+    A one-dimensional product is one multiplication; for d >= 2 each row is
+    the same matrix-vector product _WindowEval.value_sum computes.
+    """
+    if W.shape[1] == 1:
+        return X[:, :, 0] * W
+    return np.stack([x @ w for x, w in zip(np.broadcast_to(X, (len(W),) + X.shape[1:]), W)])
+
+
+def _reg_values(reg: Regularizer, W: Array) -> Array:
+    """reg.value at each row of W."""
+    if reg.is_zero:
+        return np.zeros(len(W))
+    if W.shape[1] > 1:
+        return np.array([reg.value(w) for w in W])
+    if reg.kind == "l1":
+        return reg.weight * np.abs(W[:, 0])
+    return reg.weight * (W[:, 0] * W[:, 0])
+
+
+def _sum_values(groups: dict[str, dict[str, Array]], n: int, reg: Regularizer, W: Array) -> Array:
+    """Sum objective of window k at the point W[k], for every row of W (K, d).
+
+    groups holds the windows' params, families in their order of first
+    appearance, each array with a leading window axis of length K (or 1, one
+    window shared by every row). Row k equals _WindowEval.value_sum(W[k]) bit
+    for bit: it takes the same floating-point operations in the same order,
+    and a row sum of a contiguous array adds like the 1-D sum.
+    """
+    total = np.zeros(len(W))
+    for fam, g in groups.items():
+        if fam == "linear":
+            terms = _inner(g["g"], W)
+        elif fam == "absolute":
+            terms = np.abs(_inner(g["x"], W) - g["y"])
+        elif fam == "squared-prediction":
+            terms = (_inner(g["x"], W) - g["y"]) ** 2
+        elif fam == "log-like":
+            terms = np.logaddexp(0.0, -g["y"] * _inner(g["x"], W))
+        else:
+            diff = W[:, None, :] - g["u"]
+            terms = 0.5 * g["lam"] * np.sum(diff * diff, axis=2) + _inner(g["b"], W)
+        total += np.sum(terms, axis=1)
+    return total + n * _reg_values(reg, W)
+
+
+class _StreamEval:
+    """Sum-objective evaluation of any window of one stream.
+
+    Each family's params are stacked once in stream order, so a family's
+    events inside a window [p, q] are one contiguous slice, located by the
+    family's prefix counts. Within a window the families are grouped in order
+    of first appearance, as _WindowEval groups them.
+    """
+
+    def __init__(self, events: Sequence[LossSpec], reg: Regularizer | None):
+        self.reg = reg if reg is not None else Regularizer()
+        groups = _by_family(events)
+        self.families = list(groups)
+        self.stacks = list(groups.values())
+        index = {fam: f for f, fam in enumerate(self.families)}
+        T, F = len(events), len(self.families)
+        code = np.array([index[ev.family] for ev in events], dtype=np.int64)
+        member = code[None, :] == np.arange(F)[:, None]
+        # count[f, t]: rounds of family f among rounds 1..t
+        self.count = np.zeros((F, T + 1), dtype=np.int64)
+        np.cumsum(member, axis=1, out=self.count[:, 1:])
+        # absent[f]: a position past the stream, distinct per family
+        self.absent = T + 1 + np.arange(F)[:, None]
+        # first[f, t - 1]: the first round >= t of family f (absent[f] if none)
+        pos = np.where(member, np.arange(1, T + 1), self.absent)
+        self.first = np.minimum.accumulate(pos[:, ::-1], axis=1)[:, ::-1]
+
+    def layouts(self, ps: Array, qs: Array) -> list[tuple[Array, list[tuple[int, int]]]]:
+        """Group the windows [ps[k], qs[k]] by family layout.
+
+        Returns (window indices, layout) pairs; a layout lists (family index,
+        rounds of that family) in the windows' order of first appearance.
+        """
+        count = self.count[:, qs] - self.count[:, ps - 1]
+        order = np.argsort(np.where(count > 0, self.first[:, ps - 1], self.absent), axis=0)
+        keys = np.concatenate([order, np.take_along_axis(count, order, axis=0)]).T.tolist()
+        members: dict[tuple[int, ...], list[int]] = {}
+        for k, key in enumerate(keys):
+            members.setdefault(tuple(key), []).append(k)
+        F = len(self.families)
+        return [
+            (np.array(rows), [(f, c) for f, c in zip(key[:F], key[F:]) if c > 0])
+            for key, rows in members.items()
+        ]
+
+    def gather(self, ps: Array, layout: list[tuple[int, int]]) -> dict[str, dict[str, Array]]:
+        """Params of the windows starting at ps that share `layout`, each array
+        with a leading window axis."""
+        groups = {}
+        for f, n_f in layout:
+            idx = self.count[f, ps - 1][:, None] + np.arange(n_f)
+            groups[self.families[f]] = {k: v[idx] for k, v in self.stacks[f].items()}
+        return groups
+
+    def values(self, p: int, q: int, W: Array) -> Array:
+        """Sum objective of the window [p, q] at every row of W."""
+        [(_, layout)] = self.layouts(np.array([p]), np.array([q]))
+        groups = self.gather(np.array([p]), layout)
+        n = q - p + 1
+        step = max(1, _CHUNK_ELEMENTS // n)
+        parts = [_sum_values(groups, n, self.reg, W[i : i + step]) for i in range(0, len(W), step)]
+        return np.concatenate(parts) if parts else np.zeros(0)
+
+
+# scipy's constants in _minimize_scalar_bounded
+_SQRT_EPS = math.sqrt(2.2e-16)
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _bounded_brent(
+    func: Callable[[Array, Array], Array],
+    lo: Array,
+    hi: Array,
+    xatol: float = 1e-11,
+    maxiter: int = 500,
+) -> tuple[Array, Array, Array]:
+    """Bounded Brent minimization of K scalar functions in lockstep.
+
+    A port of scipy 1.17.1's optimize._optimize._minimize_scalar_bounded to
+    arrays: function k is evaluated at exactly the points scipy's search on
+    [lo[k], hi[k]] evaluates, computed with the same floating-point
+    operations, and stops on its own test (or when the evaluation count
+    reaches maxiter). func(x, rows) returns the values of functions rows[i]
+    at x[i]; rows lists the functions still searching and is a new array
+    only after some stop. Returns (minimizer, value, evaluations) per function.
+    """
+    K = len(lo)
+    x_out, f_out, n_out = np.empty(K), np.empty(K), np.zeros(K, dtype=np.int64)
+    rows = np.arange(K)
+    a, b = np.array(lo, dtype=float), np.array(hi, dtype=float)
+    xf = a + _GOLDEN * (b - a)
+    nfc = fulc = xf
+    rat = e = np.zeros(K)
+    fx = func(xf, rows)
+    fnfc = ffulc = fx
+    num = 1
+    while True:
+        xm = 0.5 * (a + b)
+        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        run = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
+        if not run.all():
+            done = rows[~run]
+            x_out[done], f_out[done], n_out[done] = xf[~run], fx[~run], num
+            a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2, rows = (
+                v[run] for v in (a, b, xf, fx, nfc, fnfc, fulc, ffulc, rat, e, xm, tol1, tol2, rows)
+            )
+            if not rows.size:
+                break
+        # parabolic fit through xf, nfc and fulc, taken where |e| > tol1 and
+        # the step lands inside (a, b) and is less than half the step before last
+        r = (xf - nfc) * (fx - ffulc)
+        q = (xf - fulc) * (fx - fnfc)
+        p = (xf - fulc) * q - (xf - nfc) * r
+        q = 2.0 * (q - r)
+        p = np.where(q > 0.0, -p, p)
+        q = np.abs(q)
+        fit = (
+            (np.abs(e) > tol1)
+            & (np.abs(p) < np.abs(0.5 * q * e))
+            & (p > q * (a - xf))
+            & (p < q * (b - xf))
+        )
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = (p + 0.0) / q
+        x = xf + step
+        toward = np.sign(xm - xf) + ((xm - xf) == 0)
+        step = np.where(((x - a) < tol2) | ((b - x) < tol2), tol1 * toward, step)
+        # otherwise a golden-section step into the larger part of (a, b)
+        golden = np.where(xf >= xm, a - xf, b - xf)
+        e = np.where(fit, rat, golden)
+        rat = np.where(fit, step, _GOLDEN * golden)
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x, rows)
+        num += 1
+
+        down = fu <= fx
+        left = x < xf
+        right = x >= xf
+        a = np.where(down, np.where(right, xf, a), np.where(left, x, a))
+        b = np.where(down, np.where(right, b, xf), np.where(left, b, x))
+        up = ~down
+        near = up & ((fu <= fnfc) | (nfc == xf))
+        far = up & ~near & ((fu <= ffulc) | (fulc == xf) | (fulc == nfc))
+        shift = down | near
+        fulc = np.where(shift, nfc, np.where(far, x, fulc))
+        ffulc = np.where(shift, fnfc, np.where(far, fu, ffulc))
+        nfc = np.where(down, xf, np.where(near, x, nfc))
+        fnfc = np.where(down, fx, np.where(near, fu, fnfc))
+        xf = np.where(down, x, xf)
+        fx = np.where(down, fu, fx)
+        if num >= maxiter:
+            x_out[rows], f_out[rows], n_out[rows] = xf, fx, num
+            break
+    return x_out, f_out, n_out
+
+
+def _scalar_comparators(
+    stream: _StreamEval, ps: Array, qs: Array, domain: Domain
+) -> tuple[Array, Array]:
+    """Comparators (w*, value) of the one-dimensional windows [ps[k], qs[k]].
+
+    Windows that share a family layout are searched together, in chunks of
+    at most _CHUNK_ELEMENTS window rounds. Per window: the bounded Brent
+    search with xatol 1e-11 and 500 evaluations; then the better of the
+    bounds and the Brent point (first lo, then hi, kept on a strict
+    improvement); then the better of that point's projection and the
+    projected domain centre (the centre only on a strict improvement).
+    """
+    if domain.kind == "ball":
+        lo = float(domain.center_[0] - domain.radius)
+        hi = float(domain.center_[0] + domain.radius)
+    else:
+        lo, hi = float(domain.lower[0]), float(domain.upper[0])
+    centre = float(domain.project(domain.center)[0])
+    w_out, v_out = np.empty(len(ps)), np.empty(len(ps))
+    for members, layout in stream.layouts(ps, qs):
+        n = sum(c for _, c in layout)
+        step = max(1, _CHUNK_ELEMENTS // n)
+        for i in range(0, len(members), step):
+            chunk = members[i : i + step]
+            starts = ps[chunk]
+            K = len(chunk)
+            # the windows still searching and their params, one copy at a time
+            searching = [K, stream.gather(starts, layout)]
+
+            def objective(x: Array, rows: Array) -> Array:
+                if len(rows) != searching[0]:  # some windows stopped
+                    searching[:] = len(rows), stream.gather(starts[rows], layout)
+                return _sum_values(searching[1], n, stream.reg, x[:, None])
+
+            x, fx, _ = _bounded_brent(objective, np.full(K, lo), np.full(K, hi))
+            searching.clear()
+            groups = stream.gather(starts, layout)
+
+            def values(x: Array) -> Array:
+                return _sum_values(groups, n, stream.reg, x[:, None])
+
+            best, f_best = x, fx
+            for cand, f_cand in ((lo, values(np.full(K, lo))), (hi, values(np.full(K, hi))), (x, fx)):
+                better = f_cand < f_best
+                best = np.where(better, cand, best)
+                f_best = np.where(better, f_cand, f_best)
+            proj = np.array([domain.project(w)[0] for w in best[:, None]])
+            f_proj, f_centre = values(proj), values(np.full(K, centre))
+            to_centre = f_centre < f_proj
+            w_out[chunk] = np.where(to_centre, centre, proj)
+            v_out[chunk] = np.where(to_centre, f_centre, f_proj)
+    return w_out, v_out
 
 
 _QUADRATIC_FAMILIES = {"linear", "quadratic", "squared-prediction"}
@@ -442,7 +714,8 @@ def offline_comparator(
     """Best fixed point over [p, q]: returns (w*, sum-objective value at w*).
 
     The path, and the accuracy of the value it returns, depend on the window:
-      one-dimensional windows: scipy's bounded Brent search with xatol 1e-11,
+      one-dimensional windows: bounded Brent search with xatol 1e-11 (a port
+          of scipy's, run in lockstep across windows by the regret reports),
           which also stops on its relative term sqrt(eps)*|x|, so the
           minimizer is located to about 1.5e-8*|x|;
       d >= 2, pure linear sums, or quadratic-structure sums (linear,
@@ -460,6 +733,11 @@ def offline_comparator(
     window = events[p - 1 : q]
     reg = reg if reg is not None else Regularizer()
     d = domain.dim
+    if d == 1:
+        one = np.array([1])
+        w, value = _scalar_comparators(_StreamEval(window, reg), one, one + len(window) - 1, domain)
+        return w, float(value[0])
+
     ev = _WindowEval(window, reg)
     families = {e.family for e in window}
 
@@ -469,24 +747,6 @@ def offline_comparator(
         vals = [ev.value_sum(c) for c in candidates]
         k = int(np.argmin(vals))
         return candidates[k], float(vals[k])
-
-    if d == 1:
-        if domain.kind == "ball":
-            lo = float(domain.center_[0] - domain.radius)
-            hi = float(domain.center_[0] + domain.radius)
-        else:
-            lo, hi = float(domain.lower[0]), float(domain.upper[0])
-        res = minimize_scalar(
-            lambda x: ev.value_sum(np.array([x])),
-            bounds=(lo, hi),
-            method="bounded",
-            options={"xatol": 1e-11, "maxiter": 500},
-        )
-        best = np.array([float(res.x)])
-        for cand in (np.array([lo]), np.array([hi]), best):
-            if ev.value_sum(cand) < ev.value_sum(best):
-                best = cand
-        return finish(best)
 
     if families <= _QUADRATIC_FAMILIES and reg.kind in ("none", "squared-l2", "l1"):
         A, b, c = _aggregate_quadratic(window, d)
@@ -552,27 +812,62 @@ def comparator_dominance_check(
     candidates: Sequence[Array] = (),
     n_random: int = 100,
     seed: int | None = None,
+    stream: _StreamEval | None = None,
 ) -> float:
     """Raises unless comp_value <= window loss-sum at every probe point.
 
     Probes n_random feasible points plus any supplied candidates. Returns the
-    smallest probed value.
+    smallest probed value. stream, an evaluator of the whole of events built
+    with the same reg, saves re-stacking the window.
     """
-    ev = _WindowEval(events[p - 1 : q], reg)
     rng = np.random.default_rng(seed if seed is not None else p * 1_000_003 + q)
-    probes = [domain.sample(rng) for _ in range(n_random)]
+    if domain.kind == "box":
+        # the same draws, in the same order, as n_random domain.sample calls
+        probes = list(rng.uniform(domain.lower, domain.upper, size=(n_random, domain.dim)))
+    else:
+        probes = [domain.sample(rng) for _ in range(n_random)]
     probes.extend(domain.project(c) for c in candidates)
-    best = math.inf
-    for w in probes:
-        val = ev.value_sum(w)
-        best = min(best, val)
-        if val < comp_value - 1e-9 * (1.0 + abs(comp_value)) - 1e-6 * (q - p + 1):
+    if stream is None:
+        stream, first = _StreamEval(events[p - 1 : q], reg), 1
+    else:
+        first = p
+    probes = np.array(probes).reshape(len(probes), domain.dim)
+    values = stream.values(first, first + q - p, probes).tolist()
+    threshold = comp_value - 1e-9 * (1.0 + abs(comp_value)) - 1e-6 * (q - p + 1)
+    for val in values:
+        if val < threshold:
             raise InvariantViolation(
                 "comparator-optimality",
                 f"interval [{p},{q}]: probe value {val:.6g} beats comparator "
                 f"{comp_value:.6g}",
             )
-    return best
+    return min(values, default=math.inf)
+
+
+def _window_regret(
+    events: Sequence[LossSpec],
+    prefix: Array,
+    p: int,
+    q: int,
+    domain: Domain,
+    reg: Regularizer | None,
+    comp_value: float,
+    trajectory: Sequence[Array] | None,
+    stream: _StreamEval | None = None,
+) -> float:
+    """Empirical regret over [p, q] against comp_value, with interval_regret's
+    comparator-optimality probe when it is negative."""
+    empirical = float(prefix[q] - prefix[p - 1]) - comp_value
+    if empirical < -1e-6 * (q - p + 1):
+        candidates: list[Array] = []
+        if trajectory is not None:
+            window = np.asarray(trajectory[p - 1 : q])
+            candidates.append(np.mean(window, axis=0))
+            candidates.extend(window[[0, len(window) // 2, -1]])
+        comparator_dominance_check(
+            events, p, q, domain, comp_value, reg=reg, candidates=candidates, stream=stream
+        )
+    return empirical
 
 
 def interval_regret(
@@ -592,18 +887,43 @@ def interval_regret(
     a distribution shift, but no fixed probe point may beat the comparator.
     """
     _, comp_value = offline_comparator(events, p, q, domain, reg=reg, G=G)
-    learner = float(prefix[q] - prefix[p - 1])
-    empirical = learner - comp_value
-    if empirical < -1e-6 * (q - p + 1):
-        candidates: list[Array] = []
-        if trajectory is not None:
-            window = np.stack(trajectory[p - 1 : q])
-            candidates.append(np.mean(window, axis=0))
-            candidates.extend(window[[0, len(window) // 2, -1]])
-        comparator_dominance_check(
-            events, p, q, domain, comp_value, reg=reg, candidates=candidates
-        )
-    return empirical, comp_value
+    return _window_regret(events, prefix, p, q, domain, reg, comp_value, trajectory), comp_value
+
+
+def _report_rows(
+    events: Sequence[LossSpec],
+    points: Sequence[Array],
+    domain: Domain,
+    reg: Regularizer | None,
+    G: float | None,
+    bound_fn: Callable[[int, int], float] | None,
+    batches: Sequence[tuple[Array, Array]],
+) -> list[RegretRow]:
+    """One RegretRow per window [ps[k], qs[k]] of each batch (ps, qs), in order.
+
+    One-dimensional windows are solved a batch at a time from one stream
+    evaluator; other windows one at a time by offline_comparator.
+    """
+    prefix = cumulative_losses(events, points, reg)
+    stream = _StreamEval(events, reg)
+    trajectory = np.asarray(points)
+    rows: list[RegretRow] = []
+    for ps, qs in batches:
+        if domain.dim == 1:
+            comps = iter(_scalar_comparators(stream, ps, qs, domain)[1].tolist())
+        else:  # each solved just before its window is scored, as one at a time
+            comps = (
+                offline_comparator(events, p, q, domain, reg=reg, G=G)[1]
+                for p, q in zip(ps.tolist(), qs.tolist())
+            )
+        for p, q, comp in zip(ps.tolist(), qs.tolist(), comps):
+            empirical = _window_regret(
+                events, prefix, p, q, domain, reg, comp, trajectory, stream
+            )
+            bound = float(bound_fn(p, q)) if bound_fn is not None else math.nan
+            ratio = empirical / bound if bound == bound and bound != 0.0 else math.nan
+            rows.append(RegretRow(p, q, q - p + 1, empirical, bound, ratio, comp))
+    return rows
 
 
 def adaptive_regret_report(
@@ -626,8 +946,7 @@ def adaptive_regret_report(
     if mode not in ("auto", "exhaustive", "anchored"):
         raise InputError(f"unknown mode {mode!r}")
     resolved = mode if mode != "auto" else ("exhaustive" if T <= 4096 else "anchored")
-    prefix = cumulative_losses(events, points, reg)
-    rows: list[RegretRow] = []
+    batches = []
     for tau in tau_list:
         if not 1 <= tau <= T:
             raise InputError(f"evaluation.tau {tau} outside [1, {T}]")
@@ -641,17 +960,9 @@ def adaptive_regret_report(
                 starts_set.add(j * m)
                 j += 1
             starts = sorted(starts_set)
-        for p0 in starts:
-            q0 = p0 + tau - 1
-            if q0 > T:
-                continue
-            empirical, comp = interval_regret(
-                events, prefix, p0, q0, domain, reg, G, trajectory=points
-            )
-            bound = float(bound_fn(p0, q0)) if bound_fn is not None else math.nan
-            ratio = empirical / bound if bound == bound and bound != 0.0 else math.nan
-            rows.append(RegretRow(p0, q0, tau, empirical, bound, ratio, comp))
-    return rows
+        ps = np.array([p0 for p0 in starts if p0 + tau - 1 <= T], dtype=np.int64)
+        batches.append((ps, ps + tau - 1))
+    return _report_rows(events, points, domain, reg, G, bound_fn, batches)
 
 
 def gc_interval_regret(
@@ -663,17 +974,10 @@ def gc_interval_regret(
     bound_fn: Callable[[int, int], float] | None = None,
 ) -> list[RegretRow]:
     """Empirical regret (and optional bound) on every GC interval in [1, T]."""
-    T = len(events)
-    prefix = cumulative_losses(events, points, reg)
-    rows: list[RegretRow] = []
-    for iv in iter_gc_intervals(T):
-        empirical, comp = interval_regret(
-            events, prefix, iv.start, iv.end, domain, reg, G, trajectory=points
-        )
-        bound = float(bound_fn(iv.start, iv.end)) if bound_fn is not None else math.nan
-        ratio = empirical / bound if bound == bound and bound != 0.0 else math.nan
-        rows.append(RegretRow(iv.start, iv.end, iv.length, empirical, bound, ratio, comp))
-    return rows
+    intervals = np.array([(iv.start, iv.end) for iv in iter_gc_intervals(len(events))])
+    return _report_rows(
+        events, points, domain, reg, G, bound_fn, [(intervals[:, 0], intervals[:, 1])]
+    )
 
 
 def second_order_interval_check(

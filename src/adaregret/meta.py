@@ -51,10 +51,6 @@ def _simplex_from_logs(log_terms: Array) -> Array:
     return w / total
 
 
-def slot_deltas(slots: list[MetaSlot], cap: float) -> Array:
-    return np.array([s.delta(cap) for s in slots])
-
-
 def amlp_weights(slots: list[MetaSlot]) -> Array:
     """Plain sleeping weights: p_i proportional to delta_i * x_i."""
     if not slots:

@@ -254,6 +254,27 @@ def test_self_check_records_convergence_error(monkeypatch, capsys):
     assert "synthetic stall" in err
 
 
+def test_module_entry_missing_config_exits_2(tmp_path):
+    # `python -m adaregret` on a config path that does not exist: a named
+    # error and exit 2, not a traceback
+    import os
+    import subprocess
+    import sys
+
+    src = str(Path(ar.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "adaregret", "--config", str(tmp_path / "missing.json")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 2
+    assert "cannot read config" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_main_requires_config():
     with pytest.raises(SystemExit) as exc:
         cli.main([])

@@ -378,6 +378,193 @@ def test_generic_comparator_exhausted_cap_raises(ball2):
     assert exc.value.residual > 1e-9
 
 
+def _mixed_stream(rng, d, segments):
+    """Events of the given (family, length) segments with d-dimensional params;
+    a family may recur, so its rounds in a window need not be contiguous."""
+    events = []
+    for fam, length in segments:
+        for _ in range(length):
+            x = rng.uniform(-1.0, 1.0, size=d)
+            if fam == "linear":
+                events.append(ar.LossSpec("linear", {"g": x}))
+            elif fam == "quadratic":
+                params = {"u": rng.uniform(-0.8, 0.8, size=d), "lam": float(rng.uniform(0.2, 1.0)),
+                          "b": 0.1 * x}
+                events.append(ar.LossSpec("quadratic", params))
+            elif fam == "log-like":
+                events.append(ar.LossSpec("log-like", {"x": x, "y": float(rng.choice([-1.0, 1.0]))}))
+            else:
+                events.append(ar.LossSpec(fam, {"x": x, "y": float(rng.uniform(-0.6, 0.6))}))
+    return events
+
+
+_SWITCHING = [("absolute", 12), ("log-like", 9), ("quadratic", 7), ("absolute", 6),
+              ("squared-prediction", 8), ("linear", 5), ("log-like", 6)]
+_DOMAINS_1D = {
+    "box": ar.Domain.box(np.array([-1.0]), np.array([0.7])),
+    "ball": ar.Domain.ball(np.array([0.2]), 0.9),
+}
+_REGS = {
+    "none": ar.Regularizer(),
+    "l1": ar.Regularizer("l1", 0.1),
+    "sq-l2": ar.Regularizer("squared-l2", 0.2),
+}
+
+
+def _scipy_brent(ev, lo, hi, maxiter=500):
+    from scipy.optimize import minimize_scalar
+
+    return minimize_scalar(
+        lambda x: ev.value_sum(np.array([x])),
+        bounds=(lo, hi),
+        method="bounded",
+        options={"xatol": 1e-11, "maxiter": maxiter},
+    )
+
+
+def _bounds_1d(dom):
+    if dom.kind == "ball":
+        return float(dom.center_[0] - dom.radius), float(dom.center_[0] + dom.radius)
+    return float(dom.lower[0]), float(dom.upper[0])
+
+
+@pytest.mark.parametrize("maxiter", [500, 7], ids=["converged", "capped"])
+@pytest.mark.parametrize("reg", sorted(_REGS))
+@pytest.mark.parametrize("dom", sorted(_DOMAINS_1D))
+def test_lockstep_brent_matches_scipy(dom, reg, maxiter):
+    # [DERIVED] the lockstep port makes scipy's evaluations: on every window
+    # the minimizer, its value and the evaluation count equal scipy's bounded
+    # search on _WindowEval.value_sum, bit for bit, alone (K=1) and in a batch
+    # of windows that straddle family switches.
+    from adaregret.harness import _StreamEval, _WindowEval, _bounded_brent, _sum_values
+
+    dom, reg = _DOMAINS_1D[dom], _REGS[reg]
+    lo, hi = _bounds_1d(dom)
+    # a periodic stretch gives straddling windows that share a family layout
+    periodic = [("absolute", 3), ("log-like", 2)] * 5 + [("absolute", 16)]
+    events = _mixed_stream(np.random.default_rng(21), 1, _SWITCHING + periodic)
+    stream = _StreamEval(events, reg)
+    T = len(events)
+    ps = np.arange(1, T - 7 + 2)
+    groups = sorted((rows for rows, _ in stream.layouts(ps, ps + 6)), key=len)
+    batches = [(ps[rows], ps[rows] + 6) for rows in groups[:3] + groups[-3:]]
+    batches += [(np.array([1]), np.array([T])), (np.array([5]), np.array([5]))]
+    assert len(batches[0][0]) == 1 and len(batches[-3][0]) > 1
+    for bp, bq in batches:
+        [(_, layout)] = stream.layouts(bp, bq)
+        groups = stream.gather(bp, layout)
+        n = int(bq[0] - bp[0] + 1)
+
+        def f(x, rows):
+            part = {fam: {k: v[rows] for k, v in g.items()} for fam, g in groups.items()}
+            return _sum_values(part, n, reg, x[:, None])
+
+        x, fx, nfev = _bounded_brent(f, np.full(len(bp), lo), np.full(len(bp), hi), maxiter=maxiter)
+        for k, (p, q) in enumerate(zip(bp, bq)):
+            res = _scipy_brent(_WindowEval(events[p - 1 : q], reg), lo, hi, maxiter)
+            assert (x[k], fx[k], nfev[k]) == (res.x, res.fun, res.nfev)
+
+
+def _scalar_comparator_scipy(events, p, q, dom, reg):
+    """The one-dimensional comparator as one scipy search per window: the
+    bounds, then the Brent point, then the projected centre."""
+    from adaregret.harness import _WindowEval
+
+    ev = _WindowEval(events[p - 1 : q], reg)
+    lo, hi = _bounds_1d(dom)
+    best = np.array([float(_scipy_brent(ev, lo, hi).x)])
+    for cand in (np.array([lo]), np.array([hi]), best):
+        if ev.value_sum(cand) < ev.value_sum(best):
+            best = cand
+    candidates = [dom.project(best), dom.project(dom.center)]
+    vals = [ev.value_sum(c) for c in candidates]
+    k = int(np.argmin(vals))
+    return candidates[k], float(vals[k])
+
+
+@pytest.mark.parametrize("reg", sorted(_REGS))
+@pytest.mark.parametrize("dom", sorted(_DOMAINS_1D))
+def test_scalar_reports_match_scipy_per_window(dom, reg, monkeypatch):
+    # [DERIVED] every comparator value behind a report, solved a batch at a
+    # time (chunks shrunk to a few windows), equals the per-window scipy path
+    # bit for bit, and so does offline_comparator on each window (point
+    # included: on the flat zero-gradient stretch the projected Brent point
+    # ties the centre and is kept).
+    import adaregret.harness as harness
+
+    monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 40)
+    dom, reg = _DOMAINS_1D[dom], _REGS[reg]
+    events = _mixed_stream(np.random.default_rng(8), 1, _SWITCHING)
+    events += [ar.LossSpec("linear", {"g": np.zeros(1)}) for _ in range(8)]
+    pts = [dom.project(np.array([0.3 * math.sin(t)])) for t in range(len(events))]
+    rows = ar.adaptive_regret_report(events, pts, dom, tau_list=(1, 6, 16), reg=reg)
+    rows += ar.gc_interval_regret(events, pts, dom, reg=reg)
+    prefix = ar.cumulative_losses(events, pts, reg)
+    for row in rows:
+        w, want = _scalar_comparator_scipy(events, row.p, row.q, dom, reg)
+        assert row.comparator_value == want
+        assert row.empirical == float(prefix[row.q] - prefix[row.p - 1]) - want
+        w1, v1 = ar.offline_comparator(events, row.p, row.q, dom, reg=reg)
+        assert (w1.tolist(), v1) == (w.tolist(), want)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_batched_values_match_value_sum(d):
+    # [DERIVED] the stream evaluator's batched sum objective equals
+    # _WindowEval.value_sum at every point, bit for bit, on windows that
+    # straddle family switches.
+    from adaregret.harness import _StreamEval, _WindowEval
+
+    rng = np.random.default_rng(d)
+    events = _mixed_stream(rng, d, _SWITCHING)
+    W = rng.uniform(-1.0, 1.0, size=(30, d))
+    for reg in _REGS.values():
+        stream = _StreamEval(events, reg)
+        for p, q in ((1, len(events)), (10, 30), (13, 13), (20, 45)):
+            ev = _WindowEval(events[p - 1 : q], reg)
+            assert stream.values(p, q, W).tolist() == [ev.value_sum(w) for w in W]
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_dominance_probes_match_one_at_a_time(d, kind):
+    # [DERIVED] the batched probe check returns the smallest value_sum over
+    # n_random Domain.sample draws plus the projected candidates, bit for bit,
+    # with or without a whole-stream evaluator.
+    from adaregret.harness import _StreamEval, _WindowEval
+
+    rng = np.random.default_rng(10 + d)
+    if kind == "box":
+        dom = ar.Domain.box(rng.uniform(-1.0, -0.2, size=d), rng.uniform(0.1, 1.0, size=d))
+    else:
+        dom = ar.Domain.ball(rng.uniform(-0.3, 0.3, size=d), 0.8)
+    events = _mixed_stream(rng, d, _SWITCHING)
+    reg = ar.Regularizer("l1", 0.1)
+    candidates = [rng.uniform(-2.0, 2.0, size=d) for _ in range(4)]
+    for p, q in ((3, 30), (40, 53)):
+        draws = np.random.default_rng(p * 1_000_003 + q)
+        probes = [dom.sample(draws) for _ in range(100)] + [dom.project(c) for c in candidates]
+        ev = _WindowEval(events[p - 1 : q], reg)
+        want = min(ev.value_sum(w) for w in probes)
+        for stream in (None, _StreamEval(events, reg)):
+            got = ar.comparator_dominance_check(
+                events, p, q, dom, -1e9, reg=reg, candidates=candidates, stream=stream
+            )
+            assert got == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_box_probe_draws_match_domain_sample(d):
+    # [DERIVED] one bulk uniform draw on a box gives the points, in order, of
+    # 100 Domain.sample calls on the same generator
+    rng = np.random.default_rng(d)
+    dom = ar.Domain.box(rng.uniform(-2.0, 0.0, size=d), rng.uniform(0.0, 2.0, size=d))
+    for seed in range(20):
+        bulk = np.random.default_rng(seed).uniform(dom.lower, dom.upper, size=(100, d))
+        one_by_one = np.random.default_rng(seed)
+        assert bulk.tolist() == [dom.sample(one_by_one).tolist() for _ in range(100)]
+
+
 def test_dominance_check(box1):
     events = make_absolute_stream(8, box1, noise=0.3, seed=5)
     _, val = ar.offline_comparator(events, 1, 8, box1)
