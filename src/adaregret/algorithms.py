@@ -26,12 +26,9 @@ from .core import (
     exp_concave_beta,
 )
 from .experts import (
-    CompositeScExpert,
-    FOBOSExpert,
-    OGDDiminishing,
-    OGDFixed,
     OGDStronglyConvex,
     ONSCore,
+    ProxGradExpert,
     ProxONSExpert,
     SurrogateExpExpert,
     SurrogateScExpert,
@@ -92,8 +89,6 @@ class RoundRecord:
     alive_intervals: int
     grad_evals: int  # cumulative
     meta_loss: float | None = None
-    weights: Array | None = None
-    points: Array | None = None
     optimism_gamma: float | None = None
     optimism_residual: float | None = None
 
@@ -137,18 +132,110 @@ def rate_grid(horizon: int) -> Array:
     return np.array([2.0**j / horizon for j in range(top + 1)])
 
 
+# The meta.* calls stay in this module, not in meta.py: bench/tracer.py times a
+# meta function only where a module outside meta calls it.
+class MetaAggregator:
+    """The second-order meta over a list of experts, at every nesting level.
+
+    Plain (no regularizer): weights from `amlp_weights`, normalized losses
+    (<g, w_i - w> + GD) / (2GD). Optimistic (a regularizer): hints from the
+    optimism fixed point, weights from `oamlp_weights`, composite losses
+    (<g, w_i - w> + r(w_i)) / GD. Each round is `point(slots, pts)`, which
+    returns the aggregate point, then `update(g)` with the gradient taken
+    there. `check` turns on the played-point checks of the outermost level.
+    Fixed-point residuals and identity gaps go into the running maxima
+    `max_fixed_point_residual` and `max_identity_gap` of `sink` (the learner,
+    or by default the aggregator itself).
+    """
+
+    def __init__(
+        self,
+        domain: Domain,
+        G: float,
+        reg: Regularizer | None = None,
+        fp_tol: float = 0.0,
+        check: bool = False,
+        sink: Any = None,
+    ):
+        self.dim = domain.dim
+        self.G = G
+        self.D = domain.diameter
+        self.GD = G * self.D
+        self.reg = reg
+        self.reg_bound = reg.bound_on(domain) if reg is not None else 0.0
+        self.fp_tol = fp_tol
+        self.check = check
+        self.max_fixed_point_residual = self.max_identity_gap = 0.0
+        self.sink = sink if sink is not None else self
+        self.gamma = self.residual = None
+        self.slots: list[MetaSlot] | None = None  # set from point() to update()
+
+    def point(self, slots: list[MetaSlot], pts: Array) -> Array:
+        if self.slots is not None:
+            raise UsageError("point() called twice without update()")
+        if self.reg is not None:
+            self.r_vals = np.array([self.reg.value(row) for row in pts])
+            self.hints, self.gamma, self.residual, _ = optimism_fixed_point(
+                slots, self.r_vals, self.GD, self.reg_bound, self.fp_tol
+            )
+            sink = self.sink
+            sink.max_fixed_point_residual = max(sink.max_fixed_point_residual, self.residual)
+            p = oamlp_weights(slots, self.hints)
+        else:
+            p = amlp_weights(slots)
+        w = p @ pts
+        if self.check:
+            agg = np.zeros(self.dim)
+            for pi, row in zip(p, pts):
+                agg = agg + pi * row
+            if float(np.linalg.norm(agg - w)) > 1e-12 * max(1.0, self.D):
+                raise InvariantViolation("aggregation", "played point != weighted expert average")
+            if abs(float(p.sum()) - 1.0) > 1e-12:
+                raise InvariantViolation("weight-simplex", f"sum p = {p.sum()!r}")
+        self.slots, self.weights, self.pts, self.w = slots, p, pts, w
+        return w
+
+    def update(self, g: Array) -> float:
+        """Losses and slot update for the gradient at the last point; returns
+        the meta loss."""
+        if self.slots is None:
+            raise UsageError("update() before point()")
+        slots, self.slots = self.slots, None
+        p, pts, w = self.weights, self.pts, self.w
+        if self.reg is not None:
+            lin = (pts - w) @ g
+            ells = (lin + self.r_vals) / self.GD
+            ell_meta = float(p @ ells)
+            gap = float(np.max(np.abs((ell_meta - ells - self.hints) + lin / self.GD)))
+            sink = self.sink
+            sink.max_identity_gap = max(sink.max_identity_gap, gap)
+            if self.check and gap > 10.0 * self.fp_tol:
+                raise InvariantViolation(
+                    "composite-deviation-identity",
+                    f"deviation differs from -<g, w_i - w>/GD by {gap:.3g}",
+                )
+            oamlp_update(slots, ell_meta, ells, self.hints)
+        else:
+            ells = np.array([normalized_loss(g, w, row, self.G, self.D) for row in pts])
+            ell_meta = float(p @ ells)
+            if self.check and abs(ell_meta - 0.5) > 1e-8:
+                raise InvariantViolation(
+                    "meta-loss-center", f"plain meta loss {ell_meta!r} != 1/2"
+                )
+            amlp_update(slots, ell_meta, ells)
+        return ell_meta
+
+
 class _LearnerBase:
     """Gradient accounting and invariant plumbing shared by all learners."""
-
-    composite = False
 
     def __init__(self, cfg: LearnerConfig):
         self.cfg = cfg
         self.domain = cfg.domain
         self.G = cfg.G
         self.D = cfg.domain.diameter
-        self.GD = self.G * self.D
         self.reg = cfg.regularizer
+        self.fp_tol = cfg.fixed_point_tol or 1.0 / cfg.horizon
         self.t = 0
         self.grad_evals = 0
         self.meta_log: list[MetaLogRow] = []
@@ -176,25 +263,36 @@ class _LearnerBase:
 class _SleepingLearner(_LearnerBase):
     """Sleeping-expert driver over the GC interval schedule."""
 
+    composite = False
+
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
-        self.sched = LifetimeScheduler(horizon_hint=cfg.horizon)
+        self.sched = LifetimeScheduler()
         self.cohorts: dict[GCInterval, _Cohort] = {}
         self.created = 0
-        self.fp_tol = cfg.fixed_point_tol or 1.0 / cfg.horizon
-        self.reg_bound = self.reg.bound_on(self.domain)
+        self.meta = MetaAggregator(
+            self.domain,
+            self.G,
+            self.reg if self.composite else None,
+            self.fp_tol,
+            check=cfg.check_invariants,
+            sink=self,
+        )
 
     # subclass hooks -------------------------------------------------------
     def _build(self, interval: GCInterval) -> list[Any]:
-        raise NotImplementedError
-
-    def _update_experts(self, loss: LossSpec, g: Array, w: Array, t: int) -> None:
         raise NotImplementedError
 
     def _created_bound(self, s: int) -> int:
         raise NotImplementedError
 
     # ----------------------------------------------------------------------
+    def _update_experts(self, loss: LossSpec, g: Array, w: Array, t: int) -> None:
+        for cohort in self.cohorts.values():
+            t_local = t - cohort.interval.start + 1
+            for expert in cohort.experts:
+                expert.update(g, w, t_local)
+
     def _flat(self) -> tuple[list[MetaSlot], list[Any]]:
         slots: list[MetaSlot] = []
         experts: list[Any] = []
@@ -218,59 +316,15 @@ class _SleepingLearner(_LearnerBase):
 
         slots, experts = self._flat()
         alive_intervals = len(self.cohorts)  # intervals containing round t
-        pts = np.stack([e.point() for e in experts])
-
-        opt_gamma = opt_residual = None
-        if self.composite:
-            r_vals = np.array([self.reg.value(row) for row in pts])
-            hints, opt_gamma, opt_residual, _ = optimism_fixed_point(
-                slots, r_vals, self.GD, self.reg_bound, self.fp_tol
-            )
-            self.max_fixed_point_residual = max(self.max_fixed_point_residual, opt_residual)
-            p = oamlp_weights(slots, hints)
-        else:
-            p = amlp_weights(slots)
-
-        w = p @ pts
-        if self.cfg.check_invariants:
-            agg = np.zeros(self.domain.dim)
-            for pi, row in zip(p, pts):
-                agg = agg + pi * row
-            if float(np.linalg.norm(agg - w)) > 1e-12 * max(1.0, self.D):
-                raise InvariantViolation("aggregation", "played point != weighted expert average")
-            if abs(float(p.sum()) - 1.0) > 1e-12:
-                raise InvariantViolation("weight-simplex", f"sum p = {p.sum()!r}")
-
+        w = self.meta.point(slots, np.stack([e.point() for e in experts]))
         g = self._grad(loss, w)
-
-        if self.composite:
-            ells = ((pts - w) @ g + r_vals) / self.GD
-            ell_meta = float(p @ ells)
-            if self.cfg.check_invariants:
-                gap = float(np.max(np.abs((ell_meta - ells - hints) + (pts - w) @ g / self.GD)))
-                self.max_identity_gap = max(self.max_identity_gap, gap)
-                if gap > 10.0 * self.fp_tol:
-                    raise InvariantViolation(
-                        "composite-deviation-identity",
-                        f"deviation differs from -<g, w_i - w>/GD by {gap:.3g}",
-                    )
-            oamlp_update(slots, ell_meta, ells, hints)
-        else:
-            ells = np.array([normalized_loss(g, w, row, self.G, self.D) for row in pts])
-            ell_meta = float(p @ ells)
-            if self.cfg.check_invariants and abs(ell_meta - 0.5) > 1e-8:
-                raise InvariantViolation(
-                    "meta-loss-center", f"plain meta loss {ell_meta!r} != 1/2"
-                )
-            amlp_update(slots, ell_meta, ells)
-
+        ell_meta = self.meta.update(g)
         self._update_experts(loss, g, w, t)
 
         for iv in dying:
             cohort = self.cohorts.pop(iv)
             self._log_cohort(cohort, s_eff=t)
 
-        live = len(experts)
         if self.cfg.check_invariants:
             expected = _log2_floor(t) + 1
             if alive_intervals != expected:
@@ -286,14 +340,12 @@ class _SleepingLearner(_LearnerBase):
         return RoundRecord(
             t=t,
             w=w,
-            live_experts=live,
+            live_experts=len(experts),
             alive_intervals=alive_intervals,
             grad_evals=self.grad_evals,
             meta_loss=ell_meta,
-            weights=p,
-            points=pts,
-            optimism_gamma=opt_gamma,
-            optimism_residual=opt_residual,
+            optimism_gamma=self.meta.gamma,
+            optimism_residual=self.meta.residual,
         )
 
     def _log_cohort(self, cohort: _Cohort, s_eff: int) -> None:
@@ -340,7 +392,8 @@ class UMA2Grid(_SleepingLearner):
         self._sc_tags = [f"ogd-sc[{float(lam)!r}]" for lam in self.moduli]
 
     def _build(self, interval: GCInterval) -> list[Any]:
-        experts: list[Any] = [OGDFixed(self.domain, self.G, interval.length)]
+        step = self.D / (self.G * math.sqrt(interval.length))
+        experts: list[Any] = [ProxGradExpert(self.domain, self.G, step)]
         for a, tag in zip(self.moduli, self._ons_tags):
             curv = exp_concave_beta(self.G, self.D, float(a))
             experts.append(ONSCore(self.domain, curv, tag=tag))
@@ -352,17 +405,22 @@ class UMA2Grid(_SleepingLearner):
         for cohort in self.cohorts.values():
             t_local = t - cohort.interval.start + 1
             for expert in cohort.experts:
-                ge = self._grad(loss, expert.point())
-                if isinstance(expert, OGDFixed):
-                    expert.update(ge)
-                elif isinstance(expert, ONSCore):
-                    expert.update(ge)
-                else:
-                    expert.update(ge, t_local)
+                expert.update(self._grad(loss, expert.point()), w, t_local)
 
     def _created_bound(self, s: int) -> int:
         per = 3 + 2 * (math.ceil(math.log2(self.cfg.horizon)) if self.cfg.horizon > 1 else 0)
         return s * (_log2_floor(s) + 1) * per
+
+
+def _surrogate_pairs(domain: Domain, G: float, length: int, reg: Regularizer | None = None):
+    """Per eta in the grid for `length`: the exp-concave surrogate expert (ONS,
+    or proximal ONS given a regularizer) and the strongly convex one."""
+    experts: list[Any] = []
+    for eta in eta_grid(length, domain.diameter, G):
+        eta = float(eta)
+        ons = SurrogateExpExpert(domain, eta) if reg is None else ProxONSExpert(domain, reg, eta)
+        experts += [ons, SurrogateScExpert(domain, eta, G, reg)]
+    return experts
 
 
 class UMA2Surrogate(_SleepingLearner):
@@ -370,75 +428,53 @@ class UMA2Surrogate(_SleepingLearner):
     and OGD on the strongly convex surrogate; one shared gradient per round."""
 
     def _build(self, interval: GCInterval) -> list[Any]:
-        experts: list[Any] = []
-        for eta in eta_grid(interval.length, self.D, self.G):
-            experts.append(SurrogateExpExpert(self.domain, float(eta)))
-            experts.append(SurrogateScExpert(self.domain, float(eta), self.G))
-        return experts
-
-    def _update_experts(self, loss: LossSpec, g: Array, w: Array, t: int) -> None:
-        for cohort in self.cohorts.values():
-            t_local = t - cohort.interval.start + 1
-            for expert in cohort.experts:
-                if isinstance(expert, SurrogateExpExpert):
-                    expert.update(g, w)
-                else:
-                    expert.update(g, w, t_local)
+        return _surrogate_pairs(self.domain, self.G, interval.length)
 
     def _created_bound(self, s: int) -> int:
         return _surrogate_created_bound(s)
 
 
-class UniversalExpert:
+class _Ensemble:
+    """A fixed list of experts under one meta, itself an expert. Its experts
+    see the linearized loss anchored at the ensemble's own aggregate point."""
+
+    def __init__(
+        self,
+        experts: list[Any],
+        meta: MetaAggregator,
+        tag: str,
+        gamma: float,
+        end: int,
+        log_x: float = 0.0,
+    ):
+        self.experts = experts
+        self.slots = [
+            MetaSlot(gamma=gamma, end=end, born=1, tag=e.tag, log_x=log_x) for e in experts
+        ]
+        self.meta = meta
+        self.tag = tag
+
+    def point(self) -> Array:
+        return self.meta.point(self.slots, np.stack([e.point() for e in self.experts]))
+
+    def update(self, g: Array, anchor: Array, t_local: int) -> None:
+        self.meta.update(g)
+        for expert in self.experts:
+            expert.update(g, self.meta.w, t_local)
+
+
+class UniversalExpert(_Ensemble):
     """Single-interval universal learner used as the one expert per interval.
 
-    An inner plain meta aggregates the surrogate pairs for the interval length
-    plus one fixed-step OGD, all driven by the shared outer gradient (the
-    inner stack sees the linearized loss anchored at its own aggregate).
+    A plain meta aggregates the surrogate pairs for the interval length plus
+    one fixed-step OGD, all driven by the shared outer gradient.
     """
 
     def __init__(self, domain: Domain, G: float, lifetime: int):
-        self.domain = domain
-        self.G = G
-        self.D = domain.diameter
-        self.tag = "universal"
-        experts: list[Any] = []
-        for eta in eta_grid(lifetime, self.D, G):
-            experts.append(SurrogateExpExpert(domain, float(eta)))
-            experts.append(SurrogateScExpert(domain, float(eta), G))
-        experts.append(OGDFixed(domain, G, lifetime))
-        self.experts = experts
-        self.slots = [
-            MetaSlot(gamma=gamma_for_end(lifetime), end=lifetime, born=1, tag=e.tag)
-            for e in experts
-        ]
-        self.t_local = 0
-        self._cache: tuple[Array, Array, Array] | None = None
-
-    def point(self) -> Array:
-        if self._cache is not None:
-            raise UsageError("point() called twice without update()")
-        p = amlp_weights(self.slots)
-        pts = np.stack([e.point() for e in self.experts])
-        w = p @ pts
-        self._cache = (p, pts, w)
-        return w
-
-    def update(self, g: Array) -> None:
-        if self._cache is None:
-            raise UsageError("update() before point()")
-        p, pts, w = self._cache
-        self._cache = None
-        self.t_local += 1
-        ells = np.array([normalized_loss(g, w, row, self.G, self.D) for row in pts])
-        amlp_update(self.slots, float(p @ ells), ells)
-        for expert in self.experts:
-            if isinstance(expert, SurrogateExpExpert):
-                expert.update(g, w)
-            elif isinstance(expert, SurrogateScExpert):
-                expert.update(g, w, self.t_local)
-            else:
-                expert.update(g)
+        experts = _surrogate_pairs(domain, G, lifetime)
+        experts.append(ProxGradExpert(domain, G, domain.diameter / (G * math.sqrt(lifetime))))
+        meta = MetaAggregator(domain, G)
+        super().__init__(experts, meta, "universal", gamma_for_end(lifetime), lifetime)
 
 
 class UMA3(_SleepingLearner):
@@ -447,15 +483,11 @@ class UMA3(_SleepingLearner):
     def _build(self, interval: GCInterval) -> list[Any]:
         return [UniversalExpert(self.domain, self.G, interval.length)]
 
-    def _update_experts(self, loss: LossSpec, g: Array, w: Array, t: int) -> None:
-        for cohort in self.cohorts.values():
-            cohort.experts[0].update(g)
-
     def _created_bound(self, s: int) -> int:
         return _surrogate_created_bound(s)
 
 
-class UMSCompCore:
+class UMSCompCore(_Ensemble):
     """Static composite ensemble on the linearized composite loss.
 
     Experts: FOBOS on the (linearized) composite objective, and per eta a
@@ -465,111 +497,43 @@ class UMSCompCore:
     """
 
     def __init__(
-        self, domain: Domain, G: float, reg: Regularizer, horizon: int, fp_tol: float
+        self,
+        domain: Domain,
+        G: float,
+        reg: Regularizer,
+        horizon: int,
+        fp_tol: float,
+        sink: Any = None,
     ):
-        self.domain = domain
-        self.G = G
-        self.D = domain.diameter
-        self.GD = G * self.D
-        self.reg = reg
-        self.fp_tol = fp_tol
-        self.tag = "ums-comp"
-        experts: list[Any] = [
-            FOBOSExpert(
-                domain,
-                reg,
-                G,
-                step=self.D / (G * math.sqrt(7.0 * horizon)),
-                tag="fobos-f",
-            )
-        ]
-        for eta in eta_grid(horizon, self.D, G):
-            experts.append(ProxONSExpert(domain, reg, float(eta)))
-            experts.append(CompositeScExpert(domain, reg, float(eta), G))
-        self.experts = experts
+        step = domain.diameter / (G * math.sqrt(7.0 * horizon))
+        experts = [ProxGradExpert(domain, G, step, reg, tag="fobos-f")]
+        experts += _surrogate_pairs(domain, G, horizon, reg)
         n = len(experts)
-        self.slots = [
-            MetaSlot(
-                gamma=math.log(n), end=horizon, born=1, tag=e.tag, log_x=-math.log(n)
-            )
-            for e in experts
-        ]
-        self.reg_bound = reg.bound_on(domain)
-        self.t_local = 0
-        self.max_residual = 0.0
-        self.max_identity_gap = 0.0
-        self.last_gamma = 0.0
-        self.last_residual = 0.0
-        self._cache = None
-
-    @property
-    def n_experts(self) -> int:
-        return len(self.experts)
-
-    def point(self) -> Array:
-        if self._cache is not None:
-            raise UsageError("point() called twice without update()")
-        pts = np.stack([e.point() for e in self.experts])
-        r_vals = np.array([self.reg.value(row) for row in pts])
-        hints, gamma_star, residual, _ = optimism_fixed_point(
-            self.slots, r_vals, self.GD, self.reg_bound, self.fp_tol
-        )
-        self.max_residual = max(self.max_residual, residual)
-        self.last_gamma = gamma_star
-        self.last_residual = residual
-        p = oamlp_weights(self.slots, hints)
-        w = p @ pts
-        self._cache = (p, pts, w, r_vals, hints)
-        return w
-
-    def update(self, g: Array) -> None:
-        if self._cache is None:
-            raise UsageError("update() before point()")
-        p, pts, w, r_vals, hints = self._cache
-        self._cache = None
-        self.t_local += 1
-        ells = ((pts - w) @ g + r_vals) / self.GD
-        ell_meta = float(p @ ells)
-        gap = float(np.max(np.abs((ell_meta - ells - hints) + (pts - w) @ g / self.GD)))
-        self.max_identity_gap = max(self.max_identity_gap, gap)
-        oamlp_update(self.slots, ell_meta, ells, hints)
-        for expert in self.experts:
-            if isinstance(expert, ProxONSExpert):
-                expert.update(g, w)
-            elif isinstance(expert, CompositeScExpert):
-                expert.update(g, w, self.t_local)
-            else:
-                expert.update(g, self.t_local)
+        meta = MetaAggregator(domain, G, reg, fp_tol, sink=sink)
+        super().__init__(experts, meta, "ums-comp", math.log(n), horizon, log_x=-math.log(n))
 
 
 class UMSCompLearner(_LearnerBase):
     """Static composite learner: the core above on the true loss stream."""
 
-    composite = True
-
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
-        fp_tol = cfg.fixed_point_tol or 1.0 / cfg.horizon
-        self.core = UMSCompCore(cfg.domain, cfg.G, cfg.regularizer, cfg.horizon, fp_tol)
+        self.core = UMSCompCore(
+            cfg.domain, cfg.G, cfg.regularizer, cfg.horizon, self.fp_tol, sink=self
+        )
 
     def run_round(self, loss: LossSpec) -> RoundRecord:
         self.t += 1
         w = self.core.point()
-        p, pts = self.core._cache[0], self.core._cache[1]
-        g = self._grad(loss, w)
-        self.core.update(g)
-        self.max_fixed_point_residual = self.core.max_residual
-        self.max_identity_gap = self.core.max_identity_gap
+        self.core.update(self._grad(loss, w), w, self.t)
         return RoundRecord(
             t=self.t,
             w=w,
-            live_experts=self.core.n_experts,
+            live_experts=len(self.core.experts),
             alive_intervals=1,
             grad_evals=self.grad_evals,
-            weights=p,
-            points=pts,
-            optimism_gamma=self.core.last_gamma,
-            optimism_residual=self.core.last_residual,
+            optimism_gamma=self.core.meta.gamma,
+            optimism_residual=self.core.meta.residual,
         )
 
 
@@ -580,19 +544,8 @@ class UMAComp(_SleepingLearner):
 
     def _build(self, interval: GCInterval) -> list[Any]:
         return [
-            UMSCompCore(
-                self.domain, self.G, self.reg, horizon=interval.length, fp_tol=self.fp_tol
-            )
+            UMSCompCore(self.domain, self.G, self.reg, interval.length, self.fp_tol, sink=self)
         ]
-
-    def _update_experts(self, loss: LossSpec, g: Array, w: Array, t: int) -> None:
-        for cohort in self.cohorts.values():
-            core = cohort.experts[0]
-            core.update(g)
-            self.max_fixed_point_residual = max(
-                self.max_fixed_point_residual, core.max_residual
-            )
-            self.max_identity_gap = max(self.max_identity_gap, core.max_identity_gap)
 
     def _created_bound(self, s: int) -> int:
         return _surrogate_created_bound(s)
@@ -608,21 +561,17 @@ class BaselineLearner(_LearnerBase):
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
         if cfg.algorithm == "baseline-ogd":
-            self.expert: Any = OGDDiminishing(cfg.domain, cfg.G)
+            self.expert: Any = ProxGradExpert(cfg.domain, cfg.G, tag="ogd-dim")
         elif cfg.algorithm == "baseline-ons":
             alpha = cfg.alpha if cfg.alpha is not None else math.inf
             self.expert = ONSCore(cfg.domain, exp_concave_beta(cfg.G, self.D, alpha))
         else:
-            self.expert = FOBOSExpert(cfg.domain, cfg.regularizer, cfg.G, step="diminishing")
+            self.expert = ProxGradExpert(cfg.domain, cfg.G, reg=cfg.regularizer, tag="fobos")
 
     def run_round(self, loss: LossSpec) -> RoundRecord:
         self.t += 1
         w = self.expert.point()
-        g = self._grad(loss, w)
-        if isinstance(self.expert, ONSCore):
-            self.expert.update(g)
-        else:
-            self.expert.update(g, self.t)
+        self.expert.update(self._grad(loss, w), w, self.t)
         return RoundRecord(
             t=self.t, w=w, live_experts=1, alive_intervals=1, grad_evals=self.grad_evals
         )

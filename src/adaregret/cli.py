@@ -8,9 +8,11 @@ Artifacts written to the output directory:
   manifest.json   normalized config, seed, and sha256 hashes of every artifact
 
 Exit status: 0 when the run finished and every runtime invariant held;
-1 on an invariant violation; 2 on an unreadable or invalid config (and on
-command-line usage errors); 3 when a numerical solver (a comparator or a
-learner's inner solve) hit its step cap before reaching its tolerance.
+1 on an invariant violation; 2 on an unreadable or invalid config, an output
+directory that cannot be written (and on command-line usage errors); 3 when a
+numerical solver (a comparator or a learner's inner solve) hit its step cap
+before reaching its tolerance; 4 when a component was driven out of its
+call order (a `UsageError`: a defect in the program, not in the input).
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ import argparse
 import csv
 import hashlib
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -31,7 +32,14 @@ from .algorithms import (
     LearnerConfig,
     build_learner,
 )
-from .core import ConvergenceError, Domain, InputError, InvariantViolation, Regularizer
+from .core import (
+    ConvergenceError,
+    Domain,
+    InputError,
+    InvariantViolation,
+    Regularizer,
+    UsageError,
+)
 from .harness import (
     SegmentSpec,
     StreamConfig,
@@ -249,11 +257,7 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
             alpha=cfg.get("alpha"),
         )
     )
-    records = []
-    for ev in events:
-        rec = learner.run_round(ev)
-        rec.weights = rec.points = None  # per-expert arrays, O(n d) a round; unused here
-        records.append(rec)
+    records = [learner.run_round(ev) for ev in events]
     meta_rows = learner.finish()
     points = [rec.w for rec in records]
 
@@ -388,7 +392,7 @@ def self_check() -> int:
                     failures.append(f"{algo}: rerun artifacts differ")
                 else:
                     print(f"ok {algo} content={m1['content_hash'][:12]}")
-            except (InputError, InvariantViolation, ConvergenceError) as exc:
+            except (InputError, InvariantViolation, ConvergenceError, UsageError, OSError) as exc:
                 failures.append(f"{algo}: {exc}")
     for f in failures:
         print(f"FAIL {f}", file=sys.stderr)
@@ -447,6 +451,12 @@ def main(argv: list[str] | None = None) -> int:
         residual = "" if exc.residual is None else f" (residual {exc.residual:.3g})"
         print(f"solver did not converge: {exc}{residual}", file=sys.stderr)
         return 3
+    except UsageError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 4
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
     print(
         f"wrote {args.out}/trajectory.csv regret.csv meta.csv manifest.json "
         f"(content {manifest['content_hash'][:12]})"

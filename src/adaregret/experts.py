@@ -1,14 +1,14 @@
 """Per-interval expert algorithms and the surrogate-loss toolkit.
 
-Experts expose `point()` (the iterate to aggregate) and an `update` driven by
-the current round's gradient information. Surrogate experts never evaluate
-the original loss themselves: they consume the shared gradient g_t evaluated
-at the aggregated point w_t and the anchor w_t itself.
+Experts expose `point()` (the iterate to aggregate) and one update,
+`update(g, anchor, t_local)`, driven by the current round's gradient
+information. Surrogate experts never evaluate the original loss themselves:
+they consume the shared gradient g_t evaluated at the aggregated point w_t and
+the anchor w_t itself.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,7 +134,13 @@ def prox_quadratic_argmin(
 
 
 class BaseExpert:
+    """Every expert exposes `point()` and `update(g, anchor, t_local)`: the
+    round's gradient, the point it was evaluated at (the surrogate experts
+    linearize around it) and the round index within the expert's lifetime.
+    Each expert reads only the arguments its recursion uses."""
+
     tag: str = ""
+    reg: Regularizer | None = None
 
     def __init__(self, domain: Domain):
         self.domain = domain
@@ -143,29 +149,38 @@ class BaseExpert:
     def point(self) -> Array:
         return self.w
 
-
-class OGDFixed(BaseExpert):
-    """Gradient descent with the fixed step D/(G*sqrt(lifetime))."""
-
-    def __init__(self, domain: Domain, G: float, lifetime: int, tag: str = "ogd"):
-        super().__init__(domain)
-        self.step = domain.diameter / (G * math.sqrt(lifetime))
-        self.tag = tag
-
-    def update(self, g: Array) -> None:
-        self.w = self.domain.project(self.w - self.step * g)
+    def _prox_project(self, z: Array, scale: float) -> None:
+        """w <- project(prox(reg, z, scale)); the prox, an identity copy for a
+        zero regularizer, is skipped then."""
+        if self.reg is not None and not self.reg.is_zero:
+            z = self.reg.prox(z, scale)
+        self.w = self.domain.project(z)
 
 
-class OGDDiminishing(BaseExpert):
-    """Gradient descent with steps D/(G*sqrt(t))."""
+class ProxGradExpert(BaseExpert):
+    """Projected (proximal) gradient w <- project(prox(reg, w - eta_t g, eta_t)).
 
-    def __init__(self, domain: Domain, G: float, tag: str = "ogd-dim"):
+    `step` is a fixed eta_t, or None for the diminishing eta_t = D/(G sqrt t);
+    without a regularizer this is plain projected gradient descent (OGD).
+    """
+
+    def __init__(
+        self,
+        domain: Domain,
+        G: float,
+        step: float | None = None,
+        reg: Regularizer | None = None,
+        tag: str = "ogd",
+    ):
         super().__init__(domain)
         self.base = domain.diameter / G
+        self.step = step
+        self.reg = reg
         self.tag = tag
 
-    def update(self, g: Array, t_local: int) -> None:
-        self.w = self.domain.project(self.w - (self.base / math.sqrt(t_local)) * g)
+    def update(self, g: Array, anchor: Array, t_local: int) -> None:
+        eta_t = self.base / math.sqrt(t_local) if self.step is None else self.step
+        self._prox_project(self.w - eta_t * g, eta_t)
 
 
 class OGDStronglyConvex(BaseExpert):
@@ -178,7 +193,7 @@ class OGDStronglyConvex(BaseExpert):
         self.modulus = modulus
         self.tag = tag or f"ogd-sc[{modulus!r}]"
 
-    def update(self, g: Array, t_local: int) -> None:
+    def update(self, g: Array, anchor: Array, t_local: int) -> None:
         self.w = self.domain.project(self.w - g / (self.modulus * t_local))
 
 
@@ -194,93 +209,52 @@ class ONSCore(BaseExpert):
         self.A = eps * np.eye(domain.dim)
         self.tag = tag or f"ons[{curvature!r}]"
 
-    def update(self, g: Array) -> None:
+    def update(self, g: Array, anchor: Array, t_local: int) -> None:
         self.A += np.outer(g, g)
         target = self.w - np.linalg.solve(self.A, g) / self.curvature
         self.w = a_norm_project(self.domain, self.A, target)
 
 
-class SurrogateExpExpert(BaseExpert):
+class SurrogateExpExpert(ONSCore):
     """ONS on the exp-concave surrogate for one learning rate eta."""
 
     def __init__(self, domain: Domain, eta: float):
-        super().__init__(domain)
+        super().__init__(domain, SURROGATE_GAMMA, tag=f"sur-exp[{eta!r}]")
         self.eta = eta
-        self.core = ONSCore(domain, SURROGATE_GAMMA)
-        self.tag = f"sur-exp[{eta!r}]"
-
-    def point(self) -> Array:
-        return self.core.w
-
-    def update(self, g: Array, anchor: Array) -> None:
-        _, gs = surrogate_exp_eval(self.eta, g, anchor, self.core.w)
-        self.core.update(gs)
-
-
-class SurrogateScExpert(BaseExpert):
-    """OGD with steps 1/(2 eta^2 G^2 t) on the strongly convex surrogate."""
-
-    def __init__(self, domain: Domain, eta: float, G: float):
-        super().__init__(domain)
-        self.eta = eta
-        self.G = G
-        self.tag = f"sur-sc[{eta!r}]"
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
-        _, gs = surrogate_sc_eval(self.eta, self.G, g, anchor, self.w)
-        step = 1.0 / (2.0 * self.eta**2 * self.G**2 * t_local)
-        self.w = self.domain.project(self.w - step * gs)
+        _, gs = surrogate_exp_eval(self.eta, g, anchor, self.w)
+        super().update(gs, anchor, t_local)
 
 
-class FOBOSExpert(BaseExpert):
-    """Forward-backward splitting w <- project(prox(reg, w - eta_t g, eta_t)).
-
-    `step` is either a fixed float or the string "diminishing" for D/(G sqrt t).
-    """
-
-    def __init__(self, domain: Domain, reg: Regularizer, G: float, step, tag: str = "fobos"):
-        super().__init__(domain)
-        self.reg = reg
-        self.base = domain.diameter / G
-        self.step = step
-        self.tag = tag
-
-    def update(self, g: Array, t_local: int) -> None:
-        eta_t = self.base / math.sqrt(t_local) if self.step == "diminishing" else float(self.step)
-        self.w = self.domain.project(self.reg.prox(self.w - eta_t * g, eta_t))
-
-
-class CompositeScExpert(BaseExpert):
-    """FOBOS on the strongly convex surrogate plus eta * r."""
-
-    def __init__(self, domain: Domain, reg: Regularizer, eta: float, G: float):
-        super().__init__(domain)
-        self.reg = reg
-        self.eta = eta
-        self.G = G
-        self.tag = f"comp-sc[{eta!r}]"
-
-    def update(self, g: Array, anchor: Array, t_local: int) -> None:
-        _, gs = surrogate_sc_eval(self.eta, self.G, g, anchor, self.w)
-        step = 1.0 / (2.0 * self.eta**2 * self.G**2 * t_local)
-        self.w = self.domain.project(self.reg.prox(self.w - step * gs, step * self.eta))
-
-
-class ProxONSExpert(BaseExpert):
+class ProxONSExpert(ONSCore):
     """ONS on the exp-concave surrogate plus eta * r, via a proximal Newton step."""
 
     def __init__(self, domain: Domain, reg: Regularizer, eta: float):
-        super().__init__(domain)
+        super().__init__(domain, SURROGATE_GAMMA, tag=f"prox-ons[{eta!r}]")
         self.reg = reg
         self.eta = eta
-        self.curvature = SURROGATE_GAMMA
-        eps = 1.0 / (self.curvature**2 * domain.diameter**2)
-        self.A = eps * np.eye(domain.dim)
-        self.tag = f"prox-ons[{eta!r}]"
 
-    def update(self, g: Array, anchor: Array) -> None:
+    def update(self, g: Array, anchor: Array, t_local: int) -> None:
         _, gs = surrogate_exp_eval(self.eta, g, anchor, self.w)
         self.A += np.outer(gs, gs)
         self.w = prox_quadratic_argmin(
             self.domain, self.A, self.curvature, self.w, gs, self.reg, self.eta
         )
+
+
+class SurrogateScExpert(BaseExpert):
+    """OGD with steps 1/(2 eta^2 G^2 t) on the strongly convex surrogate; given
+    a regularizer, FOBOS on the surrogate plus eta * r (tag `comp-sc`)."""
+
+    def __init__(self, domain: Domain, eta: float, G: float, reg: Regularizer | None = None):
+        super().__init__(domain)
+        self.eta = eta
+        self.G = G
+        self.reg = reg
+        self.tag = f"{'sur' if reg is None else 'comp'}-sc[{eta!r}]"
+
+    def update(self, g: Array, anchor: Array, t_local: int) -> None:
+        _, gs = surrogate_sc_eval(self.eta, self.G, g, anchor, self.w)
+        step = 1.0 / (2.0 * self.eta**2 * self.G**2 * t_local)
+        self._prox_project(self.w - step * gs, step * self.eta)

@@ -125,10 +125,9 @@ class LifetimeScheduler:
     intervals starting at t and those (previously born) ending at t.
     """
 
-    def __init__(self, horizon_hint: int | None = None):
+    def __init__(self):
         self._next = 1
         self._alive: dict[int, list[GCInterval]] = {}
-        self._hint = horizon_hint
 
     @property
     def live_intervals(self) -> list[GCInterval]:

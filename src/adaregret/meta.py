@@ -9,7 +9,7 @@ hint-shifted weights, and squared deviations (loss - hint).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -129,13 +129,6 @@ def normalized_loss(g: Array, w_meta: Array, w_i: Array, G: float, D: float) -> 
     if v < -1e-6 or v > 1.0 + 1e-6:
         raise InvariantViolation("normalized-loss-range", f"value {v:.8g} outside [0, 1]")
     return min(1.0, max(0.0, v))
-
-
-def normalized_loss_composite(
-    g: Array, w_meta: Array, w_i: Array, r_i: float, G: float, D: float
-) -> float:
-    """Composite meta loss (<g, w_i - w_meta> + r(w_i)) / (GD)."""
-    return (float(np.dot(g, w_i - w_meta)) + r_i) / (G * D)
 
 
 # ---------------------------------------------------------------------------

@@ -69,12 +69,13 @@ def test_zero_loss_stream_stays_at_center(box1):
     # normalized loss is exactly 1/2, so potentials never change.
     events = _zero_stream(32, 1)
     learner = ar.build_learner(_cfg("uma2-surrogate", box1, 32))
-    recs = ar.run(learner, events)
-    for rec in recs:
+    for ev in events:
+        rec = learner.run_round(ev)
         assert np.all(rec.w == 0.0)
         assert rec.meta_loss == pytest.approx(0.5, abs=1e-15)
         # untouched potentials make the meta weights exactly uniform
-        assert np.allclose(rec.weights, 1.0 / rec.live_experts, atol=1e-15)
+        assert np.allclose(learner.meta.weights, 1.0 / rec.live_experts, atol=1e-15)
+    learner.finish()
     for row in learner.meta_log:
         assert row.lhs == pytest.approx(0.0, abs=1e-12)
         assert row.sq_dev == pytest.approx(0.0, abs=1e-15)
@@ -208,12 +209,48 @@ def test_composite_fixed_point_tol_override(box1):
 
 
 def test_universal_expert_usage_errors(box1):
+    # the aggregator behind every nesting level guards its point/update order
     exp = ar.algorithms.UniversalExpert(box1, 1.0, lifetime=8)
     with pytest.raises(ar.UsageError):
-        exp.update(np.zeros(1))
+        exp.update(np.zeros(1), np.zeros(1), 1)
     exp.point()
     with pytest.raises(ar.UsageError):
         exp.point()
+    meta = ar.algorithms.MetaAggregator(box1, 1.0)
+    slots = [ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in range(2)]
+    with pytest.raises(ar.UsageError):
+        meta.update(np.zeros(1))
+    meta.point(slots, np.zeros((2, 1)))
+    with pytest.raises(ar.UsageError):
+        meta.point(slots, np.zeros((2, 1)))
+    meta.update(np.zeros(1))
+    meta.point(slots, np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("check", (True, False))
+def test_aggregator_checks_run_where_enabled(box1, check):
+    # the played-point checks run at the outermost level only; the inner
+    # ensembles still record their identity gaps without raising
+    pts = np.array([[-0.5], [0.5]])
+    reg = ar.Regularizer("l1", 0.1)
+    for kind, name in ((None, "meta-loss-center"), (reg, "composite-deviation-identity")):
+        meta = ar.algorithms.MetaAggregator(box1, 1.0, kind, fp_tol=1e-3, check=check)
+        meta.point([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in pts], pts)
+        if kind is None:
+            meta.w = meta.w + 0.5  # not the weighted average: meta loss 3/8
+        else:
+            meta.hints = np.array([0.5, -0.5])  # hints off the fixed point
+        if check:
+            with pytest.raises(ar.InvariantViolation) as exc:
+                meta.update(np.array([1.0]))
+            assert exc.value.name == name
+        else:
+            meta.update(np.array([1.0]))
+    assert meta.max_identity_gap == pytest.approx(0.5)
+    on = ar.build_learner(_cfg("uma-comp", box1, 8, regularizer=reg, check_invariants=check))
+    assert on.meta.check is check
+    assert not on._build(ar.GCInterval(1, 8, 3))[0].meta.check
+    assert not ar.algorithms.UniversalExpert(box1, 1.0, 8).meta.check
 
 
 def test_invariant_checks_can_be_disabled(box1):

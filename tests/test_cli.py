@@ -1,12 +1,20 @@
 """Config validation, artifact layout, determinism, exit codes, and frozen
 golden artifacts for the command-line front end."""
+import contextlib
 import csv
+import io
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import adaregret as ar
 import adaregret.cli as cli
@@ -254,25 +262,106 @@ def test_self_check_records_convergence_error(monkeypatch, capsys):
     assert "synthetic stall" in err
 
 
-def test_module_entry_missing_config_exits_2(tmp_path):
-    # `python -m adaregret` on a config path that does not exist: a named
-    # error and exit 2, not a traceback
-    import os
-    import subprocess
-    import sys
-
+def _run_module(*args):
+    """`python -m adaregret ARGS` in a fresh interpreter."""
     src = str(Path(ar.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "adaregret", "--config", str(tmp_path / "missing.json")],
+    return subprocess.run(
+        [sys.executable, "-m", "adaregret", *args],
         capture_output=True,
         text=True,
         env=env,
         timeout=120,
     )
+
+
+def test_module_entry_missing_config_exits_2(tmp_path):
+    # `python -m adaregret` on a config path that does not exist: a named
+    # error and exit 2, not a traceback
+    proc = _run_module("--config", str(tmp_path / "missing.json"))
     assert proc.returncode == 2
     assert "cannot read config" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_module_entry_unwritable_output_exits_2(tmp_path):
+    # --out below an existing file cannot be created as a directory
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    config = DATA / "golden-baseline" / "config.json"
+    proc = _run_module("--config", str(config), "--out", str(blocker / "sub"))
+    assert proc.returncode == 2
+    assert "error: cannot write output" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_main_usage_error_exit_code(tmp_path, monkeypatch, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+
+    def misuse(cfg, out):
+        raise ar.UsageError("update() before point()")
+
+    monkeypatch.setattr(cli, "run_experiment", misuse)
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "internal error: update() before point()" in err
+    assert cli.main(["--check"]) == 1
+    err = capsys.readouterr().err
+    assert err.count("FAIL ") == len(ar.ALGORITHMS)
+
+
+_FAMILIES = ("linear", "absolute", "quadratic", "squared-prediction", "log-like")
+_EXIT_CODES = (0, 1, 2, 3, 4)  # the README's exit-code table
+
+
+@settings(max_examples=48, deadline=None)
+@given(
+    algorithm=st.sampled_from(ar.ALGORITHMS),
+    family=st.sampled_from(_FAMILIES),
+    kind=st.sampled_from(("box", "ball")),
+    reg=st.sampled_from(("none", "l1", "squared-l2")),
+    horizon=st.integers(1, 8),
+    dim=st.integers(1, 2),
+    seed=st.integers(0, 2**16),
+)
+def test_main_fuzz_tiny_configs(algorithm, family, kind, reg, horizon, dim, seed):
+    # any tiny config ends in a documented exit code with a one-line message
+    domain = (
+        {"kind": "box", "lower": [-1.0] * dim, "upper": [0.5] * dim}
+        if kind == "box"
+        else {"kind": "ball", "radius": 1.0}
+    )
+    raw = {
+        "horizon": horizon,
+        "dimension": dim,
+        "algorithm": algorithm,
+        "gradient_bound": 2.5,
+        "seed": seed,
+        "domain": domain,
+        "regularizer": {"kind": reg, "weight": 0.1},
+        "segments": [
+            {
+                "length": horizon,
+                "family": family,
+                "target": [0.3] * dim,
+                "direction": [0.5] * dim,
+                "scale": 0.5,
+                "noise": 0.2,
+            }
+        ],
+        "evaluation": {"tau": [1, horizon], "gc_intervals": True},
+    }
+    if algorithm == "baseline-ons":
+        raw["alpha"] = 0.5
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(raw))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["--config", str(cfg_path), "--out", str(Path(tmp) / "out")])
+    assert code in _EXIT_CODES
+    assert "Traceback" not in err.getvalue()
 
 
 def test_main_requires_config():

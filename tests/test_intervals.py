@@ -110,7 +110,7 @@ def test_partition_input_validation():
 
 
 def test_scheduler_lifecycle():
-    sched = ar.LifetimeScheduler(horizon_hint=128)
+    sched = ar.LifetimeScheduler()
     alive = set()
     for t in range(1, 129):
         born, dying = sched.advance(t)
