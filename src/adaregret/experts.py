@@ -58,19 +58,80 @@ def surrogate_sc_eval(
 # Quadratic solvers shared by ONS-style experts
 
 
-def power_iteration(A: Array, iters: int = 20) -> float:
-    """Largest-eigenvalue estimate of a symmetric PSD matrix."""
-    d = A.shape[0]
-    v = np.ones(d) / math.sqrt(d)
-    lam = float(v @ A @ v)
-    for _ in range(iters):
-        av = A @ v
-        norm = float(np.linalg.norm(av))
-        if norm == 0.0:
-            return 0.0
-        v = av / norm
-        lam = float(v @ A @ v)
-    return lam
+def _prox_onto_ball(domain: Domain, reg: Regularizer, x: Array, scale: float) -> Array:
+    """argmin_z 0.5*||z - x||^2 + scale * r(z) over a ball with centre c.
+
+    The minimizer is z(mu) = prox((x + mu c) / (1 + mu), scale / (1 + mu)),
+    the prox with the multiplier term (mu/2)*||z - c||^2 folded in, at the
+    smallest mu >= 0 with ||z(mu) - c|| <= radius; that distance falls as mu
+    grows, so mu is bisected.
+    """
+    c, radius = domain.center_, domain.radius
+
+    def at(mu: float) -> Array:
+        return reg.prox((x + mu * c) / (1.0 + mu), scale / (1.0 + mu))
+
+    def outside(mu: float) -> bool:
+        return float(np.linalg.norm(at(mu) - c)) > radius
+
+    if not outside(0.0):
+        return at(0.0)
+    lo, hi = 0.0, 1.0
+    while outside(hi):
+        lo, hi = hi, 2.0 * hi
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if outside(mid):
+            lo = mid
+        else:
+            hi = mid
+    return at(hi)
+
+
+def proximal_gradient(
+    domain: Domain,
+    A: Array,
+    curvature: float,
+    w_ref: Array,
+    lin: Array | None,
+    reg: Regularizer | None,
+    scale: float,
+    start: Array,
+    tol: float,
+    cap: int,
+) -> Array:
+    """argmin_z <lin, z> + (curvature/2)*||z - w_ref||_A^2 + scale * r(z) over the domain.
+
+    Proximal gradient from `start` with the step 1/L, where L = curvature *
+    lambda_max(A) is the Lipschitz constant of the smooth part's gradient
+    (Beck & Teboulle 2009); A must be symmetric PSD and nonzero. Stops when a
+    step moves the iterate by at most `tol` (a gradient-mapping norm of at
+    most L * tol); raises ConvergenceError after `cap` steps. `lin` None means
+    no linear term; a zero (or absent) regularizer skips the prox.
+    """
+    H = curvature * A  # the smooth part's Hessian; exactly A when curvature == 1
+    step = 1.0 / (curvature * float(np.linalg.eigvalsh(A)[-1]))
+    prox_scale = step * scale
+    plain = reg is None or reg.is_zero
+    # project(prox(x)) is the prox onto the domain on a box (both maps act
+    # coordinate-wise) and on a ball centred at the origin (the minimizer is
+    # the prox point scaled onto the sphere), not on another ball
+    composed = plain or domain.kind == "box" or not np.any(domain.center_)
+    z = start
+    for _ in range(cap):
+        grad = H @ (z - w_ref)
+        if lin is not None:
+            grad = lin + grad
+        z_new = z - step * grad
+        if composed:
+            z_new = domain.project(z_new if plain else reg.prox(z_new, prox_scale))
+        else:
+            z_new = _prox_onto_ball(domain, reg, z_new, prox_scale)
+        move = float(np.linalg.norm(z_new - z))
+        z = z_new
+        if move <= tol:
+            return z
+    raise ConvergenceError(f"proximal gradient did not converge in {cap} steps", residual=move)
 
 
 def a_norm_project(
@@ -79,20 +140,14 @@ def a_norm_project(
     """Projection of `target` onto the domain in the norm induced by A.
 
     Exact (identity) when the target is feasible; otherwise projected gradient
-    on the quadratic 0.5*(z-target)^T A (z-target) with step 1/lambda_max(A).
+    on 0.5*(z-target)^T A (z-target) from the Euclidean projection, with the
+    step 1/lambda_max(A).
     """
     if domain.contains(target):
         return np.array(target, dtype=float)
-    lam_max = float(np.linalg.eigvalsh(A)[-1])
-    step = 1.0 / lam_max
-    z = domain.project(target)
-    for _ in range(cap):
-        z_new = domain.project(z - step * (A @ (z - target)))
-        move = float(np.linalg.norm(z_new - z))
-        z = z_new
-        if move <= tol:
-            return z
-    raise ConvergenceError("A-norm projection did not converge", residual=move)
+    return proximal_gradient(
+        domain, A, 1.0, target, None, None, 0.0, domain.project(target), tol, cap
+    )
 
 
 def prox_quadratic_argmin(
@@ -108,25 +163,18 @@ def prox_quadratic_argmin(
 ) -> Array:
     """argmin_z <lin, z> + (curvature/2)*||z - w_ref||_A^2 + reg_scale * r(z) over the domain.
 
-    Proximal gradient with step 1/lambda_max(A) (power iteration); for d == 1
-    the first step is already the exact minimizer.
+    For d == 1 the closed form: one prox step of length 1/(curvature*a) from
+    w_ref is the exact minimizer. For d >= 2, proximal gradient from w_ref
+    with the step 1/(curvature * lambda_max(A)).
     """
     if A.shape[0] == 1:
         a = float(A[0, 0])
         z0 = w_ref - lin / (curvature * a)
         z = reg.prox(z0, reg_scale / (curvature * a))
         return domain.project(z)
-    lam_max = power_iteration(A)
-    step = 1.0 / lam_max
-    z = np.array(w_ref, dtype=float)
-    for _ in range(cap):
-        grad_s = lin + curvature * (A @ (z - w_ref))
-        z_new = domain.project(reg.prox(z - step * grad_s, step * reg_scale))
-        move = float(np.linalg.norm(z_new - z))
-        z = z_new
-        if move <= tol:
-            return z
-    raise ConvergenceError("proximal quadratic solve did not converge", residual=move)
+    return proximal_gradient(
+        domain, A, curvature, w_ref, lin, reg, reg_scale, w_ref, tol, cap
+    )
 
 
 # ---------------------------------------------------------------------------

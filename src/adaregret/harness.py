@@ -23,6 +23,7 @@ from .core import (
     Regularizer,
     check_loss_on_domain,
 )
+from .experts import proximal_gradient
 from .intervals import iter_gc_intervals
 
 # ---------------------------------------------------------------------------
@@ -575,29 +576,21 @@ def _minimize_linear(domain: Domain, gbar: Array) -> Array:
     return out.astype(float)
 
 
-def _prox_gradient_quadratic(
-    domain: Domain,
-    A: Array,
-    b: Array,
-    reg: Regularizer,
-    reg_count: float,
-    start: Array,
-    tol: float = 1e-12,
-    cap: int = 200_000,
-) -> Array:
-    lam_max = float(np.linalg.eigvalsh(A)[-1])
-    if lam_max <= 0.0:
-        return start
-    step = 1.0 / lam_max
-    z = np.array(start, dtype=float)
-    for _ in range(cap):
-        grad = A @ z + b
-        z_new = domain.project(reg.prox(z - step * grad, step * reg_count))
-        move = float(np.linalg.norm(z_new - z))
-        z = z_new
-        if move <= tol:
-            return z
-    raise ConvergenceError("comparator quadratic solve did not converge", residual=move)
+# Relative residual ||A w + b|| / (||A|| ||w|| + ||b||) up to which a
+# least-squares point counts as stationary (measured: at most ~20 eps).
+_ROUNDOFF = 1e3 * np.finfo(float).eps
+
+
+def _stationary_point(A: Array, b: Array) -> Array | None:
+    """A w with A w + b = 0, the unconstrained minimizer of 0.5 w^T A w + b^T w;
+    None when A is singular and b has a part outside its range, where the
+    objective is unbounded below and the minimum lies on the boundary."""
+    try:
+        return np.linalg.solve(A, -b)
+    except np.linalg.LinAlgError:
+        w = np.linalg.lstsq(A, -b, rcond=None)[0]
+    scale = float(np.linalg.norm(A)) * float(np.linalg.norm(w)) + float(np.linalg.norm(b))
+    return w if float(np.linalg.norm(A @ w + b)) <= _ROUNDOFF * scale else None
 
 
 # The generic comparator stops once its best value is within this relative gap
@@ -720,12 +713,15 @@ def offline_comparator(
           minimizer is located to about 1.5e-8*|x|;
       d >= 2, pure linear sums, or quadratic-structure sums (linear,
           quadratic, squared prediction) without an l1 term whose
-          unconstrained minimizer is feasible: closed form, exact up to
+          unconstrained minimizer is feasible (a least-squares point for a
+          singular A only when it is stationary): closed form, exact up to
           round-off;
-      d >= 2, other quadratic-structure sums: projected (proximal) gradient,
-          stopped when a step moves the iterate by at most 1e-12;
-      d >= 2 with absolute or log-like terms: the central-cut ellipsoid
-          method, stopped on a certified gap value - lower <= 1e-9 (1 + |value|).
+      d >= 2, other quadratic-structure sums: proximal gradient with the step
+          1/lambda_max(A) (`experts.proximal_gradient`), stopped when a step
+          moves the iterate by at most 1e-12;
+      d >= 2 with absolute or log-like terms, and pure linear sums with an l1
+          term: the central-cut ellipsoid method, stopped on a certified gap
+          value - lower <= 1e-9 (1 + |value|).
     G is accepted for call compatibility; no path uses it.
     """
     if not (1 <= p <= q <= len(events)):
@@ -754,20 +750,21 @@ def offline_comparator(
         if reg.kind == "squared-l2" and not reg.is_zero:
             A = A + 2.0 * n * reg.weight * np.eye(d)
         l1_active = reg.kind == "l1" and not reg.is_zero
-        if float(np.linalg.norm(A)) == 0.0 and not l1_active:
+        linear = float(np.linalg.norm(A)) == 0.0
+        if linear and not l1_active:
             return finish(_minimize_linear(domain, b))
         if not l1_active:
-            try:
-                w_star = np.linalg.solve(A, -b)
-            except np.linalg.LinAlgError:
-                w_star = np.linalg.lstsq(A, -b, rcond=None)[0]
-            if domain.contains(w_star):
+            w_star = _stationary_point(A, b)
+            if w_star is not None and domain.contains(w_star):
                 return finish(w_star)
-        prox_reg = reg if l1_active else Regularizer()
-        w_star = _prox_gradient_quadratic(
-            domain, A, b, prox_reg, float(n), start=domain.project(domain.center)
-        )
-        return finish(w_star)
+        if not linear:
+            w_star = proximal_gradient(
+                domain, A, 1.0, 0.0, b, reg if l1_active else None, float(n),
+                domain.project(domain.center), tol=1e-12, cap=200_000,
+            )
+            return finish(w_star)
+        # a pure linear sum with an l1 term (A = 0) leaves the proximal
+        # gradient no step length; it takes the generic path
 
     # generic path: central-cut ellipsoid method with a certified gap
     w_star, _, _ = _ellipsoid_minimize(ev, domain)

@@ -7,7 +7,8 @@ import pytest
 from scipy.optimize import minimize
 
 import adaregret as ar
-from adaregret.experts import a_norm_project, power_iteration, prox_quadratic_argmin
+from adaregret.experts import a_norm_project, prox_quadratic_argmin
+from adaregret.harness import _aggregate_quadratic, _WindowEval
 
 
 # ---------------------------------------------------------------------------
@@ -76,12 +77,192 @@ def test_a_norm_projection_against_scipy(rng):
         assert float((got - target) @ A @ (got - target)) <= res.fun + 1e-6
 
 
-def test_power_iteration_matches_eigvalsh(rng):
-    for _ in range(20):
-        m = rng.normal(size=(4, 4))
-        A = m @ m.T + 0.1 * np.eye(4)
-        lam = power_iteration(A, iters=60)
-        assert lam == pytest.approx(float(np.linalg.eigvalsh(A)[-1]), rel=1e-6)
+def _quadratic_model_instance(rng, d, kind, reg_kind, curvature):
+    """A random prox-ONS step: A = eps I + a few g g^T, a feasible w_ref and a
+    linear term large enough to put some minima on the boundary."""
+    if kind == "ball":
+        dom = ar.Domain.ball(rng.uniform(-0.2, 0.2, size=d), 0.8)
+    else:
+        lo = rng.uniform(-1.0, -0.3, size=d)
+        dom = ar.Domain.box(lo, lo + rng.uniform(0.5, 1.5, size=d))
+    A = np.eye(d) / (curvature**2 * dom.diameter**2)
+    for _ in range(int(rng.integers(1, 2 * d))):
+        g = rng.uniform(-1, 1, size=d)
+        A += np.outer(g, g)
+    w_ref = dom.project(rng.uniform(-1, 1, size=d))
+    lin = rng.uniform(-1, 1, size=d) * float(rng.choice([0.05, 0.5, 2.0]))
+    reg = ar.Regularizer() if reg_kind == "none" else ar.Regularizer(reg_kind, 0.3)
+    return dom, A, w_ref, lin, reg, float(rng.uniform(0.05, 1.0))
+
+
+def _slsqp_quadratic_model(dom, A, curvature, w_ref, lin, reg, scale):
+    """[DERIVED] SLSQP on the epigraph form: an l1 term becomes t >= |z|."""
+    from scipy.optimize import minimize
+
+    d = dom.dim
+    k = d if reg.kind == "l1" else 0
+    weight = scale * reg.weight
+
+    def smooth(z):
+        return float(lin @ z + 0.5 * curvature * (z - w_ref) @ A @ (z - w_ref))
+
+    def f(v):
+        z, t = v[:d], v[d:]
+        extra = weight * float(z @ z) if reg.kind == "squared-l2" else weight * float(np.sum(t))
+        return smooth(z) + extra
+
+    def jac(v):
+        z = v[:d]
+        gz = lin + curvature * (A @ (z - w_ref))
+        if reg.kind == "squared-l2":
+            gz = gz + 2.0 * weight * z
+        return np.concatenate([gz, np.full(k, weight)])
+
+    cons = []
+    if k:
+        cons.append({"type": "ineq", "fun": lambda v: np.concatenate([v[d:] - v[:d], v[d:] + v[:d]])})
+    if dom.kind == "ball":
+        c, r = dom.center_, dom.radius
+        cons.append({"type": "ineq", "fun": lambda v: r * r - float((v[:d] - c) @ (v[:d] - c))})
+        bounds = None
+    else:
+        bounds = [(dom.lower[i], dom.upper[i]) for i in range(d)] + [(None, None)] * k
+    x0 = np.concatenate([w_ref, np.abs(w_ref)[:k]])
+    res = minimize(f, x0, jac=jac, constraints=cons, bounds=bounds, method="SLSQP",
+                   options={"ftol": 1e-15, "maxiter": 1000})
+    return dom.project(res.x[:d])
+
+
+def _model_value(A, curvature, w_ref, lin, reg, scale, z):
+    return float(lin @ z + 0.5 * curvature * (z - w_ref) @ A @ (z - w_ref)) + scale * reg.value(z)
+
+
+@pytest.mark.parametrize("reg_kind", ["none", "l1", "squared-l2"])
+@pytest.mark.parametrize("kind", ["ball", "box"])
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("curvature", [5.0 / 16.0, 1.0, 2.5, 4.0])
+def test_prox_quadratic_argmin_matches_slsqp(curvature, d, kind, reg_kind):
+    # [DERIVED] the d >= 2 solver's objective is no worse than an SLSQP
+    # epigraph solve of the same model. The step 1/(curvature lambda_max(A))
+    # keeps curvature > 2 convergent, where a step 1/lambda_max(A) overshoots.
+    rng = np.random.default_rng(int(curvature * 16) * 100 + d * 10 + len(kind + reg_kind))
+    for _ in range(4):
+        dom, A, w_ref, lin, reg, scale = _quadratic_model_instance(rng, d, kind, reg_kind, curvature)
+        got = prox_quadratic_argmin(dom, A, curvature, w_ref, lin, reg, scale)
+        ref = _slsqp_quadratic_model(dom, A, curvature, w_ref, lin, reg, scale)
+        assert dom.contains(got)
+        v_got = _model_value(A, curvature, w_ref, lin, reg, scale, got)
+        v_ref = _model_value(A, curvature, w_ref, lin, reg, scale, ref)
+        assert v_got <= v_ref + 1e-8 * (1.0 + abs(v_ref))
+
+
+@pytest.mark.parametrize("reg", [ar.Regularizer(), ar.Regularizer("l1", 0.2)], ids=["none", "l1"])
+def test_prox_quadratic_argmin_step_is_one_over_l(reg):
+    # [DERIVED] with A = c I the smooth part's gradient is (curvature c)-Lipschitz;
+    # one step of length 1/(curvature c) from w_ref lands on the exact
+    # (interior) minimizer prox(w_ref - lin/(curvature c), scale/(curvature c)),
+    # and the second step stops, so two steps suffice.
+    dom = ar.Domain.ball(np.zeros(3), 1.0)
+    c, curvature, scale = 4.0, 5.0 / 16.0, 0.1
+    w_ref = np.array([0.1, -0.2, 0.05])
+    lin = np.array([0.1, 0.05, -0.08])
+    got = prox_quadratic_argmin(dom, c * np.eye(3), curvature, w_ref, lin, reg, scale, cap=2)
+    want = reg.prox(w_ref - lin / (curvature * c), scale / (curvature * c))
+    assert float(np.linalg.norm(want)) < 1.0
+    assert np.allclose(got, want, rtol=0.0, atol=1e-14)
+
+
+def _old_a_norm_project(domain, A, target, tol=1e-9, cap=10_000):
+    # [REFERENCE] the previous A-norm projection, transcribed verbatim
+    if domain.contains(target):
+        return np.array(target, dtype=float)
+    lam_max = float(np.linalg.eigvalsh(A)[-1])
+    step = 1.0 / lam_max
+    z = domain.project(target)
+    for _ in range(cap):
+        z_new = domain.project(z - step * (A @ (z - target)))
+        move = float(np.linalg.norm(z_new - z))
+        z = z_new
+        if move <= tol:
+            return z
+    raise ar.ConvergenceError("A-norm projection did not converge", residual=move)
+
+
+def _old_prox_gradient_quadratic(domain, A, b, reg, reg_count, start, tol=1e-12, cap=200_000):
+    # [REFERENCE] the previous comparator solver, transcribed verbatim
+    lam_max = float(np.linalg.eigvalsh(A)[-1])
+    if lam_max <= 0.0:
+        return start
+    step = 1.0 / lam_max
+    z = np.array(start, dtype=float)
+    for _ in range(cap):
+        grad = A @ z + b
+        z_new = domain.project(reg.prox(z - step * grad, step * reg_count))
+        move = float(np.linalg.norm(z_new - z))
+        z = z_new
+        if move <= tol:
+            return z
+    raise ar.ConvergenceError("comparator quadratic solve did not converge", residual=move)
+
+
+def _random_domain(rng, d, kind):
+    if kind == "ball":
+        return ar.Domain.ball(rng.uniform(-0.3, 0.3, size=d), float(rng.uniform(0.3, 1.0)))
+    lo = rng.uniform(-1.0, 0.0, size=d)
+    return ar.Domain.box(lo, lo + rng.uniform(0.2, 1.5, size=d))
+
+
+@pytest.mark.parametrize("kind", ["ball", "box"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_a_norm_project_bits_match_previous_loop(d, kind):
+    # [DERIVED] the shared loop called with lin = 0, curvature = 1 and
+    # w_ref = target repeats the previous projection's arithmetic exactly
+    rng = np.random.default_rng(d * 7 + len(kind))
+    for _ in range(25):
+        dom = _random_domain(rng, d, kind)
+        A = np.eye(d) * float(rng.uniform(0.01, 1.0))
+        for _ in range(int(rng.integers(1, 3 * d))):
+            g = rng.uniform(-1, 1, size=d)
+            A += np.outer(g, g)
+        target = rng.uniform(-2.0, 2.0, size=d)
+        got = a_norm_project(dom, A, target)
+        assert np.array_equal(got, _old_a_norm_project(dom, A, target))
+
+
+@pytest.mark.parametrize("kind", ["ball", "box"])
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_quadratic_comparator_bits_match_previous_loop(d, kind):
+    # [DERIVED] windows that reach the comparator's proximal gradient (an l1
+    # term, or a minimizer off the domain) return the previous solver's point
+    # and value exactly. With an l1 term the balls are centred at the origin:
+    # on another ball project(prox(x)) is not the prox onto the ball, so the
+    # previous loop stopped short of the minimum there (see
+    # tests/test_harness.py::test_quadratic_comparator_l1_off_centre_ball).
+    rng = np.random.default_rng(d * 11 + len(kind))
+    for trial in range(12):
+        dom = _random_domain(rng, d, kind)
+        l1 = trial % 2 == 0
+        if l1 and kind == "ball":
+            dom = ar.Domain.ball(np.zeros(d), dom.radius)
+        reg = ar.Regularizer("l1", float(rng.uniform(0.01, 0.3))) if l1 else ar.Regularizer()
+        events = []
+        for _ in range(int(rng.integers(d, 3 * d))):
+            x = rng.uniform(-1, 1, size=d)
+            y = float(rng.uniform(-1, 1)) + float(x @ rng.uniform(-3, 3, size=d))
+            events.append(ar.LossSpec("squared-prediction", {"x": x, "y": y}))
+        events.append(ar.LossSpec("linear", {"g": rng.uniform(-1, 1, size=d)}))
+        A, b, _ = _aggregate_quadratic(events, d)
+        if not l1 and dom.contains(np.linalg.solve(A, -b)):
+            continue
+        w_old = _old_prox_gradient_quadratic(
+            dom, A, b, reg if l1 else ar.Regularizer(), float(len(events)), dom.project(dom.center)
+        )
+        ev = _WindowEval(events, reg)
+        candidates = [dom.project(w_old), dom.project(dom.center)]
+        values = [ev.value_sum(c) for c in candidates]
+        k = int(np.argmin(values))
+        w, value = ar.offline_comparator(events, 1, len(events), dom, reg=reg)
+        assert np.array_equal(w, candidates[k]) and value == values[k]
 
 
 # ---------------------------------------------------------------------------

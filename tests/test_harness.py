@@ -122,6 +122,58 @@ def test_comparator_quadratic_closed_form(ball2, rng):
     assert val == pytest.approx(direct, rel=1e-12)
 
 
+def _certified(events, dom, reg=None):
+    from adaregret.harness import _ellipsoid_minimize, _WindowEval
+
+    _, value, lower = _ellipsoid_minimize(_WindowEval(events, reg), dom)
+    return value, lower
+
+
+def test_comparator_singular_quadratic_off_range(ball2):
+    # [DERIVED] A = 2 x x^T is singular and the linear round's (0, 0.5) lies
+    # outside its range, so the least-squares point (0.25, 0) is not stationary
+    # (it reads 0.0); the minimum lies on the unit circle near (0.25, -0.968),
+    # where the objective reads about -0.484.
+    events = [
+        ar.LossSpec("squared-prediction", {"x": np.array([0.4, 0.0]), "y": 0.1}, "exp-concave", 0.5),
+        ar.LossSpec("linear", {"g": np.array([0.0, 0.5])}),
+    ]
+    w, val = ar.offline_comparator(events, 1, 2, ball2)
+    value, lower = _certified(events, ball2)
+    assert float(np.linalg.norm(w)) <= 1.0 + 1e-12
+    assert val < -0.484
+    assert lower <= val <= value + 1e-9 * (1.0 + abs(value))
+
+
+def test_comparator_pure_linear_with_l1():
+    # [DERIVED] sum 0.5 w1 + 0.5 w2 + 0.1 (|w1| + |w2|) on [-1, 0.5]^2 falls
+    # along -(1, 1): the minimum is -0.8 at (-1, -1), found within the
+    # certified gap 1e-9 (1 + 0.8)
+    dom = ar.Domain.box(np.array([-1.0, -1.0]), np.array([0.5, 0.5]))
+    reg = ar.Regularizer("l1", 0.1)
+    events = [ar.LossSpec("linear", {"g": np.array([0.5, 0.5])})]
+    w, val = ar.offline_comparator(events, 1, 1, dom, reg=reg)
+    assert -0.8 <= val <= -0.8 + 1.8e-9
+    assert np.allclose(w, [-1.0, -1.0], atol=1e-6)
+
+
+def test_quadratic_comparator_l1_off_centre_ball():
+    # [DERIVED] squared-prediction rounds with an l1 term on a ball centred
+    # off the origin: the quadratic path's value matches the certified
+    # ellipsoid value within its gap
+    rng = np.random.default_rng(4)
+    dom = ar.Domain.ball(np.array([0.4, -0.3, 0.2]), 0.6)
+    reg = ar.Regularizer("l1", 0.3)
+    events = []
+    for _ in range(8):
+        x = rng.uniform(-1, 1, size=3)
+        events.append(ar.LossSpec("squared-prediction", {"x": x, "y": float(x @ [-1.0, 1.0, -0.5])}))
+    w, val = ar.offline_comparator(events, 1, len(events), dom, reg=reg)
+    value, lower = _certified(events, dom, reg)
+    assert dom.contains(w)
+    assert lower - 1e-9 <= val <= value + 1e-9 * (1.0 + abs(value))
+
+
 def test_comparator_scalar_matches_grid(box1, rng):
     events = make_absolute_stream(15, box1, noise=0.5, seed=11)
     w, val = ar.offline_comparator(events, 3, 12, box1)
