@@ -26,11 +26,10 @@ from .core import (
     exp_concave_beta,
 )
 from .experts import (
+    SURROGATE_GAMMA,
     OGDStronglyConvex,
-    ONSCore,
+    ONSExpert,
     ProxGradExpert,
-    ProxONSExpert,
-    SurrogateExpExpert,
     SurrogateScExpert,
     eta_grid,
 )
@@ -396,7 +395,7 @@ class UMA2Grid(_SleepingLearner):
         experts: list[Any] = [ProxGradExpert(self.domain, self.G, step)]
         for a, tag in zip(self.moduli, self._ons_tags):
             curv = exp_concave_beta(self.G, self.D, float(a))
-            experts.append(ONSCore(self.domain, curv, tag=tag))
+            experts.append(ONSExpert(self.domain, curv, tag=tag))
         for lam, tag in zip(self.moduli, self._sc_tags):
             experts.append(OGDStronglyConvex(self.domain, float(lam), tag=tag))
         return experts
@@ -413,13 +412,15 @@ class UMA2Grid(_SleepingLearner):
 
 
 def _surrogate_pairs(domain: Domain, G: float, length: int, reg: Regularizer | None = None):
-    """Per eta in the grid for `length`: the exp-concave surrogate expert (ONS,
-    or proximal ONS given a regularizer) and the strongly convex one."""
+    """Per eta in the grid for `length`: ONS on the exp-concave surrogate and
+    OGD on the strongly convex one, each plus eta * r given a regularizer."""
     experts: list[Any] = []
     for eta in eta_grid(length, domain.diameter, G):
         eta = float(eta)
-        ons = SurrogateExpExpert(domain, eta) if reg is None else ProxONSExpert(domain, reg, eta)
-        experts += [ons, SurrogateScExpert(domain, eta, G, reg)]
+        experts += [
+            ONSExpert(domain, SURROGATE_GAMMA, eta, reg),
+            SurrogateScExpert(domain, eta, G, reg),
+        ]
     return experts
 
 
@@ -564,7 +565,7 @@ class BaselineLearner(_LearnerBase):
             self.expert: Any = ProxGradExpert(cfg.domain, cfg.G, tag="ogd-dim")
         elif cfg.algorithm == "baseline-ons":
             alpha = cfg.alpha if cfg.alpha is not None else math.inf
-            self.expert = ONSCore(cfg.domain, exp_concave_beta(cfg.G, self.D, alpha))
+            self.expert = ONSExpert(cfg.domain, exp_concave_beta(cfg.G, self.D, alpha))
         else:
             self.expert = ProxGradExpert(cfg.domain, cfg.G, reg=cfg.regularizer, tag="fobos")
 

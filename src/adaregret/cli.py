@@ -307,16 +307,13 @@ def run_experiment(cfg: dict, out_dir: Path) -> dict:
         tau_list=cfg["evaluation"]["tau"],
         mode=cfg["evaluation"]["mode"],
         reg=reg,
-        G=cfg["gradient_bound"],
         bound_fn=bound_fn,
     )
     regret_rows.extend(
         (r.p, r.q, r.tau, r.empirical, r.bound_rhs, r.ratio) for r in report
     )
     if cfg["evaluation"]["gc_intervals"]:
-        gc_report = gc_interval_regret(
-            events, points, domain, reg=reg, G=cfg["gradient_bound"], bound_fn=bound_fn
-        )
+        gc_report = gc_interval_regret(events, points, domain, reg=reg, bound_fn=bound_fn)
         regret_rows.extend(
             (r.p, r.q, r.tau, r.empirical, r.bound_rhs, r.ratio) for r in gc_report
         )

@@ -6,6 +6,7 @@ numpy arrays and the small value types defined here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable
 
 import numpy as np
@@ -98,6 +99,11 @@ class Domain:
         if self.kind == "ball":
             return self.center_.copy()
         return 0.5 * (self.lower + self.upper)
+
+    @cached_property
+    def at_origin(self) -> bool:
+        """A ball centred at the origin (cached: the prox steps ask every round)."""
+        return self.kind == "ball" and not np.any(self.center_)
 
     def project(self, x: Any) -> Array:
         v = as_vector(x, dim=self.dim)

@@ -88,6 +88,21 @@ def _prox_onto_ball(domain: Domain, reg: Regularizer, x: Array, scale: float) ->
     return at(hi)
 
 
+def prox_onto(domain: Domain, reg: Regularizer | None, x: Array, scale: float) -> Array:
+    """argmin_z 0.5*||z - x||^2 + scale * r(z) over the domain.
+
+    project(prox(x)) is exact with no (or a zero) regularizer, on a box (both
+    maps act coordinate-wise, and d == 1 is an interval) and on a ball centred
+    at the origin (the minimizer is the prox point scaled onto the sphere);
+    on any other ball the constraint's multiplier is bisected.
+    """
+    if reg is None or reg.is_zero:
+        return domain.project(x)
+    if domain.kind == "box" or domain.dim == 1 or domain.at_origin:
+        return domain.project(reg.prox(x, scale))
+    return _prox_onto_ball(domain, reg, x, scale)
+
+
 def proximal_gradient(
     domain: Domain,
     A: Array,
@@ -112,21 +127,12 @@ def proximal_gradient(
     H = curvature * A  # the smooth part's Hessian; exactly A when curvature == 1
     step = 1.0 / (curvature * float(np.linalg.eigvalsh(A)[-1]))
     prox_scale = step * scale
-    plain = reg is None or reg.is_zero
-    # project(prox(x)) is the prox onto the domain on a box (both maps act
-    # coordinate-wise) and on a ball centred at the origin (the minimizer is
-    # the prox point scaled onto the sphere), not on another ball
-    composed = plain or domain.kind == "box" or not np.any(domain.center_)
     z = start
     for _ in range(cap):
         grad = H @ (z - w_ref)
         if lin is not None:
             grad = lin + grad
-        z_new = z - step * grad
-        if composed:
-            z_new = domain.project(z_new if plain else reg.prox(z_new, prox_scale))
-        else:
-            z_new = _prox_onto_ball(domain, reg, z_new, prox_scale)
+        z_new = prox_onto(domain, reg, z - step * grad, prox_scale)
         move = float(np.linalg.norm(z_new - z))
         z = z_new
         if move <= tol:
@@ -156,17 +162,21 @@ def prox_quadratic_argmin(
     curvature: float,
     w_ref: Array,
     lin: Array,
-    reg: Regularizer,
+    reg: Regularizer | None,
     reg_scale: float,
     tol: float = 1e-9,
     cap: int = 10_000,
 ) -> Array:
     """argmin_z <lin, z> + (curvature/2)*||z - w_ref||_A^2 + reg_scale * r(z) over the domain.
 
-    For d == 1 the closed form: one prox step of length 1/(curvature*a) from
+    With no (or a zero) regularizer, the A-norm projection of the Newton
+    target w_ref - A^{-1} lin / curvature, which is the exact minimizer. For
+    d == 1 the closed form: one prox step of length 1/(curvature*a) from
     w_ref is the exact minimizer. For d >= 2, proximal gradient from w_ref
     with the step 1/(curvature * lambda_max(A)).
     """
+    if reg is None or reg.is_zero:
+        return a_norm_project(domain, A, w_ref - np.linalg.solve(A, lin) / curvature)
     if A.shape[0] == 1:
         a = float(A[0, 0])
         z0 = w_ref - lin / (curvature * a)
@@ -188,7 +198,6 @@ class BaseExpert:
     Each expert reads only the arguments its recursion uses."""
 
     tag: str = ""
-    reg: Regularizer | None = None
 
     def __init__(self, domain: Domain):
         self.domain = domain
@@ -197,16 +206,9 @@ class BaseExpert:
     def point(self) -> Array:
         return self.w
 
-    def _prox_project(self, z: Array, scale: float) -> None:
-        """w <- project(prox(reg, z, scale)); the prox, an identity copy for a
-        zero regularizer, is skipped then."""
-        if self.reg is not None and not self.reg.is_zero:
-            z = self.reg.prox(z, scale)
-        self.w = self.domain.project(z)
-
 
 class ProxGradExpert(BaseExpert):
-    """Projected (proximal) gradient w <- project(prox(reg, w - eta_t g, eta_t)).
+    """Projected (proximal) gradient w <- prox_onto(domain, reg, w - eta_t g, eta_t).
 
     `step` is a fixed eta_t, or None for the diminishing eta_t = D/(G sqrt t);
     without a regularizer this is plain projected gradient descent (OGD).
@@ -228,7 +230,7 @@ class ProxGradExpert(BaseExpert):
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
         eta_t = self.base / math.sqrt(t_local) if self.step is None else self.step
-        self._prox_project(self.w - eta_t * g, eta_t)
+        self.w = prox_onto(self.domain, self.reg, self.w - eta_t * g, eta_t)
 
 
 class OGDStronglyConvex(BaseExpert):
@@ -245,49 +247,41 @@ class OGDStronglyConvex(BaseExpert):
         self.w = self.domain.project(self.w - g / (self.modulus * t_local))
 
 
-class ONSCore(BaseExpert):
-    """Online Newton step: A accumulates gg^T, iterates projected in the A-norm."""
+class ONSExpert(BaseExpert):
+    """Online Newton step: A accumulates gg^T and w <- the proximal Newton
+    step prox_quadratic_argmin(A, curvature, w, g, reg, eta).
 
-    def __init__(self, domain: Domain, curvature: float, tag: str = ""):
+    With `eta` the gradient is the exp-concave surrogate's (tag `sur-exp[eta]`,
+    or `prox-ons[eta]` given a regularizer, which enters as eta * r); without
+    it the raw gradient (`ons[curvature]`). With no (or a zero) regularizer the
+    step is the A-norm projection of the Newton target.
+    """
+
+    def __init__(
+        self,
+        domain: Domain,
+        curvature: float,
+        eta: float | None = None,
+        reg: Regularizer | None = None,
+        tag: str = "",
+    ):
         super().__init__(domain)
         if curvature <= 0:
             raise InputError("ONS curvature must be positive")
         self.curvature = curvature
+        self.eta = eta
+        self.reg = reg
         eps = 1.0 / (curvature**2 * domain.diameter**2)
         self.A = eps * np.eye(domain.dim)
-        self.tag = tag or f"ons[{curvature!r}]"
+        kind = "ons" if eta is None else "sur-exp" if reg is None else "prox-ons"
+        self.tag = tag or f"{kind}[{curvature if eta is None else eta!r}]"
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
+        if self.eta is not None:
+            _, g = surrogate_exp_eval(self.eta, g, anchor, self.w)
         self.A += np.outer(g, g)
-        target = self.w - np.linalg.solve(self.A, g) / self.curvature
-        self.w = a_norm_project(self.domain, self.A, target)
-
-
-class SurrogateExpExpert(ONSCore):
-    """ONS on the exp-concave surrogate for one learning rate eta."""
-
-    def __init__(self, domain: Domain, eta: float):
-        super().__init__(domain, SURROGATE_GAMMA, tag=f"sur-exp[{eta!r}]")
-        self.eta = eta
-
-    def update(self, g: Array, anchor: Array, t_local: int) -> None:
-        _, gs = surrogate_exp_eval(self.eta, g, anchor, self.w)
-        super().update(gs, anchor, t_local)
-
-
-class ProxONSExpert(ONSCore):
-    """ONS on the exp-concave surrogate plus eta * r, via a proximal Newton step."""
-
-    def __init__(self, domain: Domain, reg: Regularizer, eta: float):
-        super().__init__(domain, SURROGATE_GAMMA, tag=f"prox-ons[{eta!r}]")
-        self.reg = reg
-        self.eta = eta
-
-    def update(self, g: Array, anchor: Array, t_local: int) -> None:
-        _, gs = surrogate_exp_eval(self.eta, g, anchor, self.w)
-        self.A += np.outer(gs, gs)
         self.w = prox_quadratic_argmin(
-            self.domain, self.A, self.curvature, self.w, gs, self.reg, self.eta
+            self.domain, self.A, self.curvature, self.w, g, self.reg, self.eta or 0.0
         )
 
 
@@ -305,4 +299,4 @@ class SurrogateScExpert(BaseExpert):
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
         _, gs = surrogate_sc_eval(self.eta, self.G, g, anchor, self.w)
         step = 1.0 / (2.0 * self.eta**2 * self.G**2 * t_local)
-        self._prox_project(self.w - step * gs, step * self.eta)
+        self.w = prox_onto(self.domain, self.reg, self.w - step * gs, step * self.eta)

@@ -702,7 +702,6 @@ def offline_comparator(
     q: int,
     domain: Domain,
     reg: Regularizer | None = None,
-    G: float | None = None,
 ) -> tuple[Array, float]:
     """Best fixed point over [p, q]: returns (w*, sum-objective value at w*).
 
@@ -722,7 +721,6 @@ def offline_comparator(
       d >= 2 with absolute or log-like terms, and pure linear sums with an l1
           term: the central-cut ellipsoid method, stopped on a certified gap
           value - lower <= 1e-9 (1 + |value|).
-    G is accepted for call compatibility; no path uses it.
     """
     if not (1 <= p <= q <= len(events)):
         raise InputError(f"interval [{p},{q}] outside the stream of length {len(events)}")
@@ -874,7 +872,6 @@ def interval_regret(
     q: int,
     domain: Domain,
     reg: Regularizer | None = None,
-    G: float | None = None,
     trajectory: Sequence[Array] | None = None,
 ) -> tuple[float, float]:
     """(empirical regret, comparator value) over [p, q].
@@ -883,7 +880,7 @@ def interval_regret(
     probe: an adaptive learner may legitimately beat every fixed point across
     a distribution shift, but no fixed probe point may beat the comparator.
     """
-    _, comp_value = offline_comparator(events, p, q, domain, reg=reg, G=G)
+    _, comp_value = offline_comparator(events, p, q, domain, reg=reg)
     return _window_regret(events, prefix, p, q, domain, reg, comp_value, trajectory), comp_value
 
 
@@ -892,7 +889,6 @@ def _report_rows(
     points: Sequence[Array],
     domain: Domain,
     reg: Regularizer | None,
-    G: float | None,
     bound_fn: Callable[[int, int], float] | None,
     batches: Sequence[tuple[Array, Array]],
 ) -> list[RegretRow]:
@@ -910,7 +906,7 @@ def _report_rows(
             comps = iter(_scalar_comparators(stream, ps, qs, domain)[1].tolist())
         else:  # each solved just before its window is scored, as one at a time
             comps = (
-                offline_comparator(events, p, q, domain, reg=reg, G=G)[1]
+                offline_comparator(events, p, q, domain, reg=reg)[1]
                 for p, q in zip(ps.tolist(), qs.tolist())
             )
         for p, q, comp in zip(ps.tolist(), qs.tolist(), comps):
@@ -930,7 +926,6 @@ def adaptive_regret_report(
     tau_list: Sequence[int],
     mode: str = "auto",
     reg: Regularizer | None = None,
-    G: float | None = None,
     bound_fn: Callable[[int, int], float] | None = None,
 ) -> list[RegretRow]:
     """Per tau, the regret of every evaluated interval of that length.
@@ -959,7 +954,7 @@ def adaptive_regret_report(
             starts = sorted(starts_set)
         ps = np.array([p0 for p0 in starts if p0 + tau - 1 <= T], dtype=np.int64)
         batches.append((ps, ps + tau - 1))
-    return _report_rows(events, points, domain, reg, G, bound_fn, batches)
+    return _report_rows(events, points, domain, reg, bound_fn, batches)
 
 
 def gc_interval_regret(
@@ -967,13 +962,12 @@ def gc_interval_regret(
     points: Sequence[Array],
     domain: Domain,
     reg: Regularizer | None = None,
-    G: float | None = None,
     bound_fn: Callable[[int, int], float] | None = None,
 ) -> list[RegretRow]:
     """Empirical regret (and optional bound) on every GC interval in [1, T]."""
     intervals = np.array([(iv.start, iv.end) for iv in iter_gc_intervals(len(events))])
     return _report_rows(
-        events, points, domain, reg, G, bound_fn, [(intervals[:, 0], intervals[:, 1])]
+        events, points, domain, reg, bound_fn, [(intervals[:, 0], intervals[:, 1])]
     )
 
 
@@ -996,7 +990,7 @@ def second_order_interval_check(
     rows = []
     for iv in iter_gc_intervals(T):
         if reference is None:
-            w_ref, _ = offline_comparator(events, iv.start, iv.end, domain, G=G)
+            w_ref, _ = offline_comparator(events, iv.start, iv.end, domain)
         else:
             w_ref = reference
         lhs = 0.0

@@ -288,7 +288,7 @@ def test_criterion_05_bound_soundness():
         elif ftype == "strongly-convex":
             params["lam"] = modulus
         fn = ar.bound_fn_for(algo, ftype, params)
-        rows = ar.gc_interval_regret(events, [r.w for r in recs], domain, reg=reg, G=G, bound_fn=fn)
+        rows = ar.gc_interval_regret(events, [r.w for r in recs], domain, reg=reg, bound_fn=fn)
         for row in rows:
             assert row.empirical <= row.bound_rhs, (
                 f"{algo}/{ftype}: regret {row.empirical:.6g} exceeds bound "

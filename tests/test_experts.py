@@ -7,7 +7,7 @@ import pytest
 from scipy.optimize import minimize
 
 import adaregret as ar
-from adaregret.experts import a_norm_project, prox_quadratic_argmin
+from adaregret.experts import _prox_onto_ball, a_norm_project, prox_quadratic_argmin
 from adaregret.harness import _aggregate_quadratic, _WindowEval
 
 
@@ -47,14 +47,14 @@ def test_ogd_strongly_convex_steps(box1):
 def test_ons_hand_example(box1):
     # [DERIVED] eps = 1/(gamma^2 D^2) = 16; A after one step = 17;
     # w1 = 0 - (1/17)/0.125 = -8/17, feasible so projection is identity.
-    ons = ar.ONSCore(box1, curvature=0.125)
+    ons = ar.ONSExpert(box1, curvature=0.125)
     ons.update(np.array([1.0]), ons.point(), 1)
     assert ons.point() == pytest.approx([-8.0 / 17.0], abs=1e-12)
 
 
 def test_ons_projection_engages(rng):
     dom = ar.Domain.ball(np.zeros(2), 0.25)
-    ons = ar.ONSCore(dom, curvature=0.5)
+    ons = ar.ONSExpert(dom, curvature=0.5)
     for _ in range(20):
         g = rng.uniform(-1, 1, size=2)
         ons.update(g, ons.point(), 1)
@@ -407,6 +407,45 @@ def test_composite_sc_expert_prox_scaling(box1):
     assert exp.point()[0] == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("reg_kind", ["l1", "squared-l2"])
+@pytest.mark.parametrize("d", [2, 5])
+@pytest.mark.parametrize("expert", ["fobos", "comp-sc"])
+def test_composite_step_on_off_centre_ball_matches_slsqp(expert, d, reg_kind):
+    # [DERIVED] one step of each FOBOS-style expert is the prox onto the
+    # domain, argmin_z 0.5||z - x||^2 + scale r(z) over the ball, compared
+    # with an SLSQP epigraph solve of that model (A = I, curvature 1, no
+    # linear term). With l1 on an off-centre ball it is not project(prox(x));
+    # with squared-l2 it is (the prox scales x, so z - c keeps its direction)
+    rng = np.random.default_rng(d * 10 + len(expert + reg_kind))
+    reg = ar.Regularizer(reg_kind, 0.3)
+    for _ in range(8):
+        dom = ar.Domain.ball(rng.uniform(0.3, 0.8, size=d) * rng.choice([-1.0, 1.0], size=d), 0.5)
+        w0 = dom.sample(rng)
+        g = rng.uniform(-1.0, 1.0, size=d)
+        g /= float(np.linalg.norm(g))
+        if expert == "fobos":
+            step = float(rng.uniform(0.5, 2.0))
+            exp = ar.ProxGradExpert(dom, G=1.0, step=step, reg=reg, tag="fobos")
+            anchor = w0
+            x, scale = w0 - step * g, step
+        else:
+            eta = 1.0 / (5.0 * dom.diameter)
+            exp = ar.SurrogateScExpert(dom, eta=eta, G=1.0, reg=reg)
+            anchor = dom.sample(rng)
+            _, gs = ar.surrogate_sc_eval(eta, 1.0, g, anchor, w0)
+            step = 1.0 / (2.0 * eta**2)
+            x, scale = w0 - step * gs, step * eta
+        exp.w = w0
+        exp.update(g, anchor, 1)
+        got = exp.point()
+        eye, zero = np.eye(d), np.zeros(d)
+        ref = _slsqp_quadratic_model(dom, eye, 1.0, x, zero, reg, scale)
+        assert dom.contains(got)
+        v_got = _model_value(eye, 1.0, x, zero, reg, scale, got)
+        v_ref = _model_value(eye, 1.0, x, zero, reg, scale, ref)
+        assert v_got <= v_ref + 1e-8 * (1.0 + abs(v_ref))
+
+
 def test_prox_quadratic_argmin_one_dim_grid(box1, rng):
     reg = ar.Regularizer("l1", 0.4)
     for _ in range(20):
@@ -433,7 +472,7 @@ def test_prox_quadratic_argmin_one_dim_grid(box1, rng):
 def test_prox_ons_expert_one_dim_against_grid(box1):
     reg = ar.Regularizer("l1", 0.2)
     eta = 0.1
-    exp = ar.ProxONSExpert(box1, reg, eta=eta)
+    exp = ar.ONSExpert(box1, ar.SURROGATE_GAMMA, eta=eta, reg=reg)
     rng = np.random.default_rng(5)
     for t in range(1, 15):
         g = np.array([float(rng.uniform(-1, 1))])
@@ -459,12 +498,12 @@ def test_expert_tags_distinct(box1):
         ar.ProxGradExpert(box1, 1.0, step=0.5).tag,
         ar.ProxGradExpert(box1, 1.0, tag="ogd-dim").tag,
         ar.OGDStronglyConvex(box1, 0.5).tag,
-        ar.ONSCore(box1, 0.25).tag,
-        ar.SurrogateExpExpert(box1, 0.1).tag,
+        ar.ONSExpert(box1, 0.25).tag,
+        ar.ONSExpert(box1, ar.SURROGATE_GAMMA, 0.1).tag,
         ar.SurrogateScExpert(box1, 0.1, 1.0).tag,
         ar.ProxGradExpert(box1, 1.0, step=0.1, reg=reg, tag="fobos").tag,
         ar.SurrogateScExpert(box1, 0.1, 1.0, reg=reg).tag,
-        ar.ProxONSExpert(box1, reg, 0.1).tag,
+        ar.ONSExpert(box1, ar.SURROGATE_GAMMA, 0.1, reg).tag,
     }
     assert len(tags) == 9
     assert {t.split("[")[0] for t in tags} == {
@@ -492,11 +531,18 @@ class _Recursion:
         self.step(self, g, anchor, t)
 
 
+def _exact_prox(dom, reg, z, scale):
+    # the prox onto the test's off-centre ball at d = 2, where project(prox(z))
+    # is not exact with l1
+    if reg is None or reg.is_zero:
+        return dom.project(z)
+    return _prox_onto_ball(dom, reg, z, scale)
+
+
 def _prox_grad(eta_of_t, reg=None):
     def step(r, g, anchor, t):
         eta = eta_of_t(t)
-        z = r.w - eta * g
-        r.w = r.dom.project(z if reg is None else reg.prox(z, eta))
+        r.w = _exact_prox(r.dom, reg, r.w - eta * g, eta)
 
     return step
 
@@ -524,8 +570,7 @@ def _sc(eta, G, reg=None):
     def step(r, g, anchor, t):
         _, gs = ar.surrogate_sc_eval(eta, G, g, anchor, r.w)
         s = 1.0 / (2.0 * eta**2 * G**2 * t)
-        z = r.w - s * gs
-        r.w = r.dom.project(z if reg is None else reg.prox(z, s * eta))
+        r.w = _exact_prox(r.dom, reg, r.w - s * gs, s * eta)
 
     return step
 
@@ -590,14 +635,20 @@ _PROTOCOL_CASES = {
         ar.OGDStronglyConvex(d, 0.5),
         _Recursion(d, lambda r, g, anchor, t: setattr(r, "w", d.project(r.w - g / (0.5 * t)))),
     ),
-    "ons": lambda d: (ar.ONSCore(d, 0.25), _Recursion(d, _ons(0.25), curvature=0.25)),
+    "ons": lambda d: (ar.ONSExpert(d, 0.25), _Recursion(d, _ons(0.25), curvature=0.25)),
     "sur-exp": lambda d: (
-        ar.SurrogateExpExpert(d, 0.1),
+        ar.ONSExpert(d, ar.SURROGATE_GAMMA, 0.1),
         _Recursion(d, _ons(ar.SURROGATE_GAMMA, eta=0.1), curvature=ar.SURROGATE_GAMMA),
     ),
     "prox-ons": lambda d: (
-        ar.ProxONSExpert(d, _L1, 0.1),
+        ar.ONSExpert(d, ar.SURROGATE_GAMMA, 0.1, _L1),
         _Recursion(d, _prox_ons(_L1, 0.1), curvature=ar.SURROGATE_GAMMA),
+    ),
+    # with a zero regularizer the proximal Newton step is the A-norm
+    # projection of the Newton target, the sur-exp recursion
+    "prox-ons-zero": lambda d: (
+        ar.ONSExpert(d, ar.SURROGATE_GAMMA, 0.1, _ZERO),
+        _Recursion(d, _ons(ar.SURROGATE_GAMMA, eta=0.1), curvature=ar.SURROGATE_GAMMA),
     ),
     "sur-sc": lambda d: (ar.SurrogateScExpert(d, 0.1, _G), _Recursion(d, _sc(0.1, _G))),
     "comp-sc-l1": lambda d: (
