@@ -26,16 +26,16 @@ from .core import (
     exp_concave_beta,
 )
 from .experts import (
-    SURROGATE_GAMMA,
     OGDStronglyConvex,
     ONSExpert,
     ProxGradExpert,
-    SurrogateScExpert,
+    SurrogateStack,
     eta_grid,
 )
 from .intervals import GCInterval, LifetimeScheduler
 from .meta import (
     MetaSlot,
+    MetaSlots,
     amlp_update,
     amlp_weights,
     gamma_for_end,
@@ -108,9 +108,11 @@ class MetaLogRow:
 
 @dataclass
 class _Cohort:
+    """The experts born with one interval; they hold `size` consecutive slots."""
+
     interval: GCInterval
-    slots: list[MetaSlot]
     experts: list[Any]
+    size: int
 
 
 def _log2_floor(t: int) -> int:
@@ -139,7 +141,8 @@ class MetaAggregator:
     Plain (no regularizer): weights from `amlp_weights`, normalized losses
     (<g, w_i - w> + GD) / (2GD). Optimistic (a regularizer): hints from the
     optimism fixed point, weights from `oamlp_weights`, composite losses
-    (<g, w_i - w> + r(w_i)) / GD. Each round is `point(slots, pts)`, which
+    (<g, w_i - w> + r(w_i)) / GD. Each round is `point(slots, pts)`, with
+    the owner's `MetaSlots` and the experts' points in slot order, which
     returns the aggregate point, then `update(g)` with the gradient taken
     there. `check` turns on the played-point checks of the outermost level.
     Fixed-point residuals and identity gaps go into the running maxima
@@ -167,13 +170,13 @@ class MetaAggregator:
         self.max_fixed_point_residual = self.max_identity_gap = 0.0
         self.sink = sink if sink is not None else self
         self.gamma = self.residual = None
-        self.slots: list[MetaSlot] | None = None  # set from point() to update()
+        self.slots: MetaSlots | None = None  # set from point() to update()
 
-    def point(self, slots: list[MetaSlot], pts: Array) -> Array:
+    def point(self, slots: MetaSlots, pts: Array) -> Array:
         if self.slots is not None:
             raise UsageError("point() called twice without update()")
         if self.reg is not None:
-            self.r_vals = np.array([self.reg.value(row) for row in pts])
+            self.r_vals = self.reg.value_rows(pts)
             self.hints, self.gamma, self.residual, _ = optimism_fixed_point(
                 slots, self.r_vals, self.GD, self.reg_bound, self.fp_tol
             )
@@ -184,9 +187,7 @@ class MetaAggregator:
             p = amlp_weights(slots)
         w = p @ pts
         if self.check:
-            agg = np.zeros(self.dim)
-            for pi, row in zip(p, pts):
-                agg = agg + pi * row
+            agg = np.sum(p[:, None] * pts, axis=0)  # summed apart from p @ pts
             if float(np.linalg.norm(agg - w)) > 1e-12 * max(1.0, self.D):
                 raise InvariantViolation("aggregation", "played point != weighted expert average")
             if abs(float(p.sum()) - 1.0) > 1e-12:
@@ -215,7 +216,7 @@ class MetaAggregator:
                 )
             oamlp_update(slots, ell_meta, ells, self.hints)
         else:
-            ells = np.array([normalized_loss(g, w, row, self.G, self.D) for row in pts])
+            ells = normalized_loss(g, w, pts, self.G, self.D)
             ell_meta = float(p @ ells)
             if self.check and abs(ell_meta - 0.5) > 1e-8:
                 raise InvariantViolation(
@@ -260,7 +261,12 @@ class _LearnerBase:
 
 
 class _SleepingLearner(_LearnerBase):
-    """Sleeping-expert driver over the GC interval schedule."""
+    """Sleeping-expert driver over the GC interval schedule.
+
+    The meta's slots live in one `MetaSlots`, cohort after cohort in birth
+    order: a cohort's birth appends its block, its death removes the block
+    and logs it.
+    """
 
     composite = False
 
@@ -268,6 +274,7 @@ class _SleepingLearner(_LearnerBase):
         super().__init__(cfg)
         self.sched = LifetimeScheduler()
         self.cohorts: dict[GCInterval, _Cohort] = {}
+        self.slots = MetaSlots()
         self.created = 0
         self.meta = MetaAggregator(
             self.domain,
@@ -292,37 +299,28 @@ class _SleepingLearner(_LearnerBase):
             for expert in cohort.experts:
                 expert.update(g, w, t_local)
 
-    def _flat(self) -> tuple[list[MetaSlot], list[Any]]:
-        slots: list[MetaSlot] = []
-        experts: list[Any] = []
-        for cohort in self.cohorts.values():
-            slots.extend(cohort.slots)
-            experts.extend(cohort.experts)
-        return slots, experts
-
     def run_round(self, loss: LossSpec) -> RoundRecord:
         t = self.t + 1
         self.t = t
         born, dying = self.sched.advance(t)
         for iv in born:
             experts = self._build(iv)
-            slots = [
-                MetaSlot(gamma=gamma_for_end(iv.end), end=iv.end, born=t, tag=e.tag)
-                for e in experts
-            ]
-            self.cohorts[iv] = _Cohort(iv, slots, experts)
-            self.created += len(experts)
+            tags = [tag for e in experts for tag in e.tags]
+            gamma = gamma_for_end(iv.end)
+            self.slots.extend(MetaSlot(gamma=gamma, end=iv.end, born=t, tag=tag) for tag in tags)
+            self.cohorts[iv] = _Cohort(iv, experts, len(tags))
+            self.created += len(tags)
 
-        slots, experts = self._flat()
         alive_intervals = len(self.cohorts)  # intervals containing round t
-        w = self.meta.point(slots, np.stack([e.point() for e in experts]))
+        live = len(self.slots)
+        pts = np.concatenate([e.points() for c in self.cohorts.values() for e in c.experts])
+        w = self.meta.point(self.slots, pts)
         g = self._grad(loss, w)
         ell_meta = self.meta.update(g)
         self._update_experts(loss, g, w, t)
 
         for iv in dying:
-            cohort = self.cohorts.pop(iv)
-            self._log_cohort(cohort, s_eff=t)
+            self._retire(iv, s_eff=t)
 
         if self.cfg.check_invariants:
             expected = _log2_floor(t) + 1
@@ -339,7 +337,7 @@ class _SleepingLearner(_LearnerBase):
         return RoundRecord(
             t=t,
             w=w,
-            live_experts=len(experts),
+            live_experts=live,
             alive_intervals=alive_intervals,
             grad_evals=self.grad_evals,
             meta_loss=ell_meta,
@@ -347,30 +345,38 @@ class _SleepingLearner(_LearnerBase):
             optimism_residual=self.meta.residual,
         )
 
-    def _log_cohort(self, cohort: _Cohort, s_eff: int) -> None:
-        for slot in cohort.slots:
-            rhs = meta_lemma_rhs(slot.gamma, self.created, s_eff, slot.sq_dev)
+    def _retire(self, iv: GCInterval, s_eff: int) -> None:
+        """Remove the cohort of `iv` and its block of slots; log the block."""
+        start = 0
+        for other in self.cohorts:
+            if other == iv:
+                break
+            start += self.cohorts[other].size
+        cohort = self.cohorts.pop(iv)
+        block = self.slots.take(start, start + cohort.size)
+        for tag, gamma, lhs, sq_dev in zip(
+            block.tags, block.gamma.tolist(), block.cum_r.tolist(), block.sq_dev.tolist()
+        ):
             row = MetaLogRow(
-                start=cohort.interval.start,
-                end=cohort.interval.end,
+                start=iv.start,
+                end=iv.end,
                 s_eff=s_eff,
-                tag=slot.tag,
-                lhs=slot.cum_r,
-                rhs=rhs,
-                sq_dev=slot.sq_dev,
+                tag=tag,
+                lhs=lhs,
+                rhs=meta_lemma_rhs(gamma, self.created, s_eff, sq_dev),
+                sq_dev=sq_dev,
                 n_created=self.created,
             )
             self.meta_log.append(row)
             if self.cfg.check_invariants and row.lhs > row.rhs + 1e-9:
                 raise InvariantViolation(
                     "meta-regret-lemma",
-                    f"slot {slot.tag} on [{row.start},{row.end}]: {row.lhs:.6g} > {row.rhs:.6g}",
+                    f"slot {tag} on [{row.start},{row.end}]: {row.lhs:.6g} > {row.rhs:.6g}",
                 )
 
     def finish(self) -> list[MetaLogRow]:
         for iv in sorted(self.cohorts, key=lambda iv: (iv.end, iv.level)):
-            self._log_cohort(self.cohorts[iv], s_eff=self.t)
-        self.cohorts.clear()
+            self._retire(iv, s_eff=self.t)
         return self.meta_log
 
 
@@ -411,17 +417,11 @@ class UMA2Grid(_SleepingLearner):
         return s * (_log2_floor(s) + 1) * per
 
 
-def _surrogate_pairs(domain: Domain, G: float, length: int, reg: Regularizer | None = None):
-    """Per eta in the grid for `length`: ONS on the exp-concave surrogate and
-    OGD on the strongly convex one, each plus eta * r given a regularizer."""
-    experts: list[Any] = []
-    for eta in eta_grid(length, domain.diameter, G):
-        eta = float(eta)
-        experts += [
-            ONSExpert(domain, SURROGATE_GAMMA, eta, reg),
-            SurrogateScExpert(domain, eta, G, reg),
-        ]
-    return experts
+def _surrogate_stack(domain: Domain, G: float, length: int, reg: Regularizer | None = None):
+    """The surrogate experts for the eta grid of `length`: per eta, ONS on the
+    exp-concave surrogate and OGD on the strongly convex one, each plus
+    eta * r given a regularizer."""
+    return SurrogateStack(domain, G, eta_grid(length, domain.diameter, G), reg)
 
 
 class UMA2Surrogate(_SleepingLearner):
@@ -429,7 +429,7 @@ class UMA2Surrogate(_SleepingLearner):
     and OGD on the strongly convex surrogate; one shared gradient per round."""
 
     def _build(self, interval: GCInterval) -> list[Any]:
-        return _surrogate_pairs(self.domain, self.G, interval.length)
+        return [_surrogate_stack(self.domain, self.G, interval.length)]
 
     def _created_bound(self, s: int) -> int:
         return _surrogate_created_bound(s)
@@ -449,14 +449,19 @@ class _Ensemble:
         log_x: float = 0.0,
     ):
         self.experts = experts
-        self.slots = [
-            MetaSlot(gamma=gamma, end=end, born=1, tag=e.tag, log_x=log_x) for e in experts
-        ]
+        self.slots = MetaSlots(
+            MetaSlot(gamma=gamma, end=end, born=1, tag=t, log_x=log_x)
+            for e in experts
+            for t in e.tags
+        )
         self.meta = meta
-        self.tag = tag
+        self.tags = [tag]
 
     def point(self) -> Array:
-        return self.meta.point(self.slots, np.stack([e.point() for e in self.experts]))
+        return self.meta.point(self.slots, np.concatenate([e.points() for e in self.experts]))
+
+    def points(self) -> Array:
+        return self.point()[None]
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
         self.meta.update(g)
@@ -467,13 +472,15 @@ class _Ensemble:
 class UniversalExpert(_Ensemble):
     """Single-interval universal learner used as the one expert per interval.
 
-    A plain meta aggregates the surrogate pairs for the interval length plus
-    one fixed-step OGD, all driven by the shared outer gradient.
+    A plain meta aggregates the surrogate experts for the interval length
+    plus one fixed-step OGD, all driven by the shared outer gradient.
     """
 
     def __init__(self, domain: Domain, G: float, lifetime: int):
-        experts = _surrogate_pairs(domain, G, lifetime)
-        experts.append(ProxGradExpert(domain, G, domain.diameter / (G * math.sqrt(lifetime))))
+        experts = [
+            _surrogate_stack(domain, G, lifetime),
+            ProxGradExpert(domain, G, domain.diameter / (G * math.sqrt(lifetime))),
+        ]
         meta = MetaAggregator(domain, G)
         super().__init__(experts, meta, "universal", gamma_for_end(lifetime), lifetime)
 
@@ -507,9 +514,11 @@ class UMSCompCore(_Ensemble):
         sink: Any = None,
     ):
         step = domain.diameter / (G * math.sqrt(7.0 * horizon))
-        experts = [ProxGradExpert(domain, G, step, reg, tag="fobos-f")]
-        experts += _surrogate_pairs(domain, G, horizon, reg)
-        n = len(experts)
+        experts = [
+            ProxGradExpert(domain, G, step, reg, tag="fobos-f"),
+            _surrogate_stack(domain, G, horizon, reg),
+        ]
+        n = 1 + len(experts[1].tags)
         meta = MetaAggregator(domain, G, reg, fp_tol, sink=sink)
         super().__init__(experts, meta, "ums-comp", math.log(n), horizon, log_x=-math.log(n))
 
@@ -530,7 +539,7 @@ class UMSCompLearner(_LearnerBase):
         return RoundRecord(
             t=self.t,
             w=w,
-            live_experts=len(self.core.experts),
+            live_experts=len(self.core.slots),
             alive_intervals=1,
             grad_evals=self.grad_evals,
             optimism_gamma=self.core.meta.gamma,

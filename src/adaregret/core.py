@@ -49,6 +49,13 @@ def as_vector(x: Any, dim: int | None = None) -> Array:
     return v
 
 
+def row_dots(X: Array, Y: Array) -> Array:
+    """<x_i, y> for every row x_i of X, with Y one vector y or the rows y_i of
+    an array shaped like X. Each is summed as np.dot sums one pair of vectors
+    (X @ y and einsum may sum in another order)."""
+    return (X[:, None, :] @ (Y[:, None] if Y.ndim == 1 else Y[:, :, None]))[:, 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # Domains
 
@@ -58,6 +65,7 @@ class Domain:
     """Closed convex feasible set with an exact Euclidean projection.
 
     Two kinds: `ball` (center, radius) and `box` (lower, upper bounds).
+    Domains compare and hash by kind and array contents.
     """
 
     kind: str
@@ -81,6 +89,19 @@ class Domain:
         if np.any(hi < lo):
             raise InputError("box upper bound below lower bound")
         return Domain(kind="box", lower=lo, upper=hi)
+
+    def _key(self) -> tuple:
+        arrays = (self.center_, self.lower, self.upper)
+        contents = tuple(None if a is None else tuple(a.tolist()) for a in arrays)
+        return (self.kind, self.radius) + contents
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Domain):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @property
     def dim(self) -> int:
@@ -115,11 +136,29 @@ class Domain:
             return self.center_ + delta * (self.radius / norm)
         return np.clip(v, self.lower, self.upper)
 
+    def project_rows(self, X: Array) -> Array:
+        """`project` applied to every row of the n x d array X."""
+        if self.kind == "box":
+            return np.clip(X, self.lower, self.upper)
+        delta = X - self.center_
+        norm = np.sqrt(row_dots(delta, delta))
+        out = X.copy()
+        far = norm > self.radius
+        out[far] = self.center_ + delta[far] * (self.radius / norm[far])[:, None]
+        return out
+
     def contains(self, x: Any, tol: float = 1e-9) -> bool:
         v = as_vector(x, dim=self.dim)
         if self.kind == "ball":
             return float(np.linalg.norm(v - self.center_)) <= self.radius + tol
         return bool(np.all(v >= self.lower - tol) and np.all(v <= self.upper + tol))
+
+    def contains_rows(self, X: Array, tol: float = 1e-9) -> Array:
+        """`contains` for every row of the n x d array X, as a boolean n-vector."""
+        if self.kind == "ball":
+            delta = X - self.center_
+            return np.sqrt(row_dots(delta, delta)) <= self.radius + tol
+        return ((X >= self.lower - tol) & (X <= self.upper + tol)).all(axis=1)
 
     def max_norm(self) -> float:
         """sup of ||w||_2 over the domain."""
@@ -171,6 +210,14 @@ class Regularizer:
             return float(self.weight * np.sum(np.abs(v)))
         return float(self.weight * np.dot(v, v))
 
+    def value_rows(self, X: Array) -> Array:
+        """`value` of every row of the n x d array X."""
+        if self.is_zero:
+            return np.zeros(X.shape[0])
+        if self.kind == "l1":
+            return self.weight * np.sum(np.abs(X), axis=1)
+        return self.weight * row_dots(X, X)
+
     def prox(self, x: Any, scale: float) -> Array:
         """argmin_z 0.5||z - x||^2 + scale * r(z)."""
         v = as_vector(x)
@@ -182,6 +229,15 @@ class Regularizer:
             thr = scale * self.weight
             return np.sign(v) * np.maximum(np.abs(v) - thr, 0.0)
         return v / (1.0 + 2.0 * scale * self.weight)
+
+    def prox_rows(self, X: Array, scale: Array) -> Array:
+        """`prox` applied to every row x_i of X with its own positive scale_i."""
+        if self.is_zero:
+            return X.copy()
+        if self.kind == "l1":
+            thr = (scale * self.weight)[:, None]
+            return np.sign(X) * np.maximum(np.abs(X) - thr, 0.0)
+        return X / (1.0 + 2.0 * scale * self.weight)[:, None]
 
     def bound_on(self, domain: Domain) -> float:
         """An upper bound C on r over the domain (0 for the zero regularizer)."""

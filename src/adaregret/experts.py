@@ -1,10 +1,12 @@
 """Per-interval expert algorithms and the surrogate-loss toolkit.
 
-Experts expose `point()` (the iterate to aggregate) and one update,
+Experts expose their iterates as a stack, `points()` (one row per expert;
+single experts also `point()`), their meta.csv `tags`, and one update,
 `update(g, anchor, t_local)`, driven by the current round's gradient
 information. Surrogate experts never evaluate the original loss themselves:
 they consume the shared gradient g_t evaluated at the aggregated point w_t and
-the anchor w_t itself.
+the anchor w_t itself; one `SurrogateStack` holds every surrogate expert of a
+learning-rate grid.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .core import (
     InputError,
     Regularizer,
     exp_concave_beta,
+    row_dots,
 )
 
 # Gradient bound of the exp-concave surrogate when eta <= 1/(5DG), and the
@@ -88,19 +91,38 @@ def _prox_onto_ball(domain: Domain, reg: Regularizer, x: Array, scale: float) ->
     return at(hi)
 
 
+def _prox_is_projected(domain: Domain, reg: Regularizer) -> bool:
+    """project(prox(x)) is the prox onto the domain: on a box (both maps act
+    coordinate-wise, and d == 1 is an interval), on a ball centred at the
+    origin (the minimizer is the prox point scaled onto the sphere), and for
+    squared-l2 on any ball (the prox scales x toward the origin, and the
+    constrained minimizer lies on the ray from the centre through it)."""
+    return (
+        domain.kind == "box" or domain.dim == 1 or domain.at_origin or reg.kind == "squared-l2"
+    )
+
+
 def prox_onto(domain: Domain, reg: Regularizer | None, x: Array, scale: float) -> Array:
     """argmin_z 0.5*||z - x||^2 + scale * r(z) over the domain.
 
-    project(prox(x)) is exact with no (or a zero) regularizer, on a box (both
-    maps act coordinate-wise, and d == 1 is an interval) and on a ball centred
-    at the origin (the minimizer is the prox point scaled onto the sphere);
-    on any other ball the constraint's multiplier is bisected.
+    project(prox(x)) where that is exact (no or a zero regularizer, and the
+    cases of `_prox_is_projected`); on any other ball the constraint's
+    multiplier is bisected.
     """
     if reg is None or reg.is_zero:
         return domain.project(x)
-    if domain.kind == "box" or domain.dim == 1 or domain.at_origin:
+    if _prox_is_projected(domain, reg):
         return domain.project(reg.prox(x, scale))
     return _prox_onto_ball(domain, reg, x, scale)
+
+
+def prox_onto_rows(domain: Domain, reg: Regularizer | None, X: Array, scale: Array) -> Array:
+    """`prox_onto` applied to every row x_i of X with its own scale_i."""
+    if reg is None or reg.is_zero:
+        return domain.project_rows(X)
+    if _prox_is_projected(domain, reg):
+        return domain.project_rows(reg.prox_rows(X, scale))
+    return np.stack([_prox_onto_ball(domain, reg, x, s) for x, s in zip(X, scale.tolist())])
 
 
 def proximal_gradient(
@@ -192,10 +214,11 @@ def prox_quadratic_argmin(
 
 
 class BaseExpert:
-    """Every expert exposes `point()` and `update(g, anchor, t_local)`: the
-    round's gradient, the point it was evaluated at (the surrogate experts
-    linearize around it) and the round index within the expert's lifetime.
-    Each expert reads only the arguments its recursion uses."""
+    """A single expert: `point()` is its iterate, `points()` the same as a
+    one-row stack. `update(g, anchor, t_local)` takes the round's gradient,
+    the point it was evaluated at (the surrogate experts linearize around
+    it) and the round index within the expert's lifetime; each expert reads
+    only the arguments its recursion uses."""
 
     tag: str = ""
 
@@ -205,6 +228,13 @@ class BaseExpert:
 
     def point(self) -> Array:
         return self.w
+
+    def points(self) -> Array:
+        return self.w[None]
+
+    @property
+    def tags(self) -> list[str]:
+        return [self.tag]
 
 
 class ProxGradExpert(BaseExpert):
@@ -248,55 +278,99 @@ class OGDStronglyConvex(BaseExpert):
 
 
 class ONSExpert(BaseExpert):
-    """Online Newton step: A accumulates gg^T and w <- the proximal Newton
-    step prox_quadratic_argmin(A, curvature, w, g, reg, eta).
+    """Online Newton step on the raw gradient: A accumulates gg^T and w <- the
+    A-norm projection of the Newton target w - A^{-1} g / curvature, that is
+    prox_quadratic_argmin with no regularizer (tag `ons[curvature]`)."""
 
-    With `eta` the gradient is the exp-concave surrogate's (tag `sur-exp[eta]`,
-    or `prox-ons[eta]` given a regularizer, which enters as eta * r); without
-    it the raw gradient (`ons[curvature]`). With no (or a zero) regularizer the
-    step is the A-norm projection of the Newton target.
-    """
-
-    def __init__(
-        self,
-        domain: Domain,
-        curvature: float,
-        eta: float | None = None,
-        reg: Regularizer | None = None,
-        tag: str = "",
-    ):
+    def __init__(self, domain: Domain, curvature: float, tag: str = ""):
         super().__init__(domain)
         if curvature <= 0:
             raise InputError("ONS curvature must be positive")
         self.curvature = curvature
-        self.eta = eta
-        self.reg = reg
         eps = 1.0 / (curvature**2 * domain.diameter**2)
         self.A = eps * np.eye(domain.dim)
-        kind = "ons" if eta is None else "sur-exp" if reg is None else "prox-ons"
-        self.tag = tag or f"{kind}[{curvature if eta is None else eta!r}]"
+        self.tag = tag or f"ons[{curvature!r}]"
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
-        if self.eta is not None:
-            _, g = surrogate_exp_eval(self.eta, g, anchor, self.w)
         self.A += np.outer(g, g)
-        self.w = prox_quadratic_argmin(
-            self.domain, self.A, self.curvature, self.w, g, self.reg, self.eta or 0.0
-        )
+        self.w = prox_quadratic_argmin(self.domain, self.A, self.curvature, self.w, g, None, 0.0)
 
 
-class SurrogateScExpert(BaseExpert):
-    """OGD with steps 1/(2 eta^2 G^2 t) on the strongly convex surrogate; given
-    a regularizer, FOBOS on the surrogate plus eta * r (tag `comp-sc`)."""
+class SurrogateStack:
+    """Every surrogate expert of one learning-rate grid, as arrays.
 
-    def __init__(self, domain: Domain, eta: float, G: float, reg: Regularizer | None = None):
-        super().__init__(domain)
-        self.eta = eta
-        self.G = G
+    Per eta_i in `etas`, row 2i of `points()` is online Newton steps on the
+    exp-concave surrogate (curvature SURROGATE_GAMMA; tag `sur-exp[eta]`),
+    and row 2i+1 gradient steps 1/(2 eta^2 G^2 t) on the strongly convex
+    surrogate (`sur-sc[eta]`). Given a regularizer both add eta * r: the
+    Newton step becomes the proximal Newton step (`prox-ons[eta]`) and the
+    gradient step a FOBOS step (`comp-sc[eta]`). The iterates are a 2k x d
+    array and the Newton matrices a k x d x d one, so a round is a few array
+    operations; the steps with no closed form (the A-norm projection of an
+    infeasible Newton target, the proximal Newton step with a non-zero r at
+    d >= 2, the prox onto an off-centre ball with l1) are solved row by row.
+    """
+
+    def __init__(self, domain: Domain, G: float, etas, reg: Regularizer | None = None):
+        etas = [float(eta) for eta in etas]
+        self.domain = domain
         self.reg = reg
-        self.tag = f"{'sur' if reg is None else 'comp'}-sc[{eta!r}]"
+        self.eta = np.array(etas)
+        self.W = np.empty((2 * len(etas), domain.dim))
+        self.W[:] = domain.project(domain.center)
+        eps = 1.0 / (SURROGATE_GAMMA**2 * domain.diameter**2)
+        self.A = np.empty((len(etas), domain.dim, domain.dim))
+        self.A[:] = eps * np.eye(domain.dim)
+        self._sc_curvature = 2.0 * self.eta * self.eta * G * G
+        self._sc_rate = np.array([2.0 * eta**2 * G**2 for eta in etas])
+        ons, sc = ("sur-exp", "sur-sc") if reg is None else ("prox-ons", "comp-sc")
+        self.tags = [tag for eta in etas for tag in (f"{ons}[{eta!r}]", f"{sc}[{eta!r}]")]
+
+    def points(self) -> Array:
+        return self.W
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
-        _, gs = surrogate_sc_eval(self.eta, self.G, g, anchor, self.w)
-        step = 1.0 / (2.0 * self.eta**2 * self.G**2 * t_local)
-        self.w = prox_onto(self.domain, self.reg, self.w - step * gs, step * self.eta)
+        eta, ons, sc = self.eta, self.W[0::2], self.W[1::2]
+        W = np.empty_like(self.W)
+        # exp-concave surrogate gradient eta (1 - 2 eta z) g with z = <g, anchor - w>
+        gs = (eta * (1.0 - 2.0 * eta * row_dots(anchor - ons, g)))[:, None] * g
+        self.A += gs[:, :, None] * gs[:, None, :]
+        W[0::2] = self._newton_step(ons, gs)
+        # strongly convex surrogate gradient eta g + 2 eta^2 G^2 (w - anchor)
+        gs = eta[:, None] * g + self._sc_curvature[:, None] * (sc - anchor)
+        step = 1.0 / (self._sc_rate * t_local)
+        W[1::2] = prox_onto_rows(self.domain, self.reg, sc - step[:, None] * gs, step * eta)
+        self.W = W
+
+    def _newton_step(self, w: Array, gs: Array) -> Array:
+        """prox_quadratic_argmin(domain, A_i, SURROGATE_GAMMA, w_i, gs_i, reg, eta_i) per row."""
+        dom, reg, A, beta = self.domain, self.reg, self.A, SURROGATE_GAMMA
+        if reg is not None and not reg.is_zero:
+            if dom.dim == 1:
+                a = A[:, 0, 0]
+                z = reg.prox_rows(w - gs / (beta * a)[:, None], self.eta / (beta * a))
+                return dom.project_rows(z)
+            return np.stack(
+                [
+                    prox_quadratic_argmin(dom, A[i], beta, w[i], gs[i], reg, eta)
+                    for i, eta in enumerate(self.eta.tolist())
+                ]
+            )
+        if dom.dim > 1:
+            target = w - np.linalg.solve(A, gs[:, :, None])[:, :, 0] / beta
+            for i in np.flatnonzero(~dom.contains_rows(target)):
+                target[i] = a_norm_project(dom, A[i], target[i])
+            return target
+        # d = 1: a 1 x 1 solve is g / a, and the A-norm projection of an
+        # infeasible target is proximal_gradient's first step from the
+        # Euclidean projection, after which it stops (the step ends outside
+        # the interval, on the target's side, so it projects back within
+        # round-off of where it started)
+        a = A[:, 0]
+        target = w - gs / a / beta
+        feasible = dom.contains_rows(target)
+        if feasible.all():
+            return target
+        z = dom.project_rows(target)
+        z = dom.project_rows(z - (1.0 / a) * (a * (z - target)))
+        return np.where(feasible[:, None], target, z)

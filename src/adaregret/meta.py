@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
-from .core import Array, ConvergenceError, InputError, InvariantViolation
+from .core import Array, ConvergenceError, InputError, InvariantViolation, row_dots
 
 PLAIN_CAP = 0.5
 OPTIMISTIC_CAP = 0.25
@@ -42,6 +43,50 @@ class MetaSlot:
         return min(cap, math.sqrt(self.gamma / (1.0 + self.sq_dev)))
 
 
+class MetaSlots:
+    """The meta-state of every live slot, one array entry per slot, in slot
+    order: `gamma`, `log_x`, `sq_dev` and `cum_r`, plus the slots' `tags`.
+
+    Slots join as a block at the end (`extend`) and leave as a contiguous
+    block (`take`), so a cohort's slots stay together and in birth order.
+    """
+
+    def __init__(self, slots: Iterable[MetaSlot] = ()):
+        self.gamma = self.log_x = self.sq_dev = self.cum_r = np.empty(0)
+        self.tags: list[str] = []
+        self.extend(slots)
+
+    def __len__(self) -> int:
+        return len(self.tags)
+
+    def extend(self, slots: Iterable[MetaSlot]) -> None:
+        slots = list(slots)
+        for name in ("gamma", "log_x", "sq_dev", "cum_r"):
+            block = np.array([getattr(s, name) for s in slots], dtype=float)
+            setattr(self, name, np.concatenate((getattr(self, name), block)))
+        self.tags.extend(s.tag for s in slots)
+
+    def take(self, start: int, stop: int) -> "MetaSlots":
+        """Remove slots start..stop-1 and return them as their own MetaSlots."""
+        block = MetaSlots()
+        for name in ("gamma", "log_x", "sq_dev", "cum_r"):
+            values = getattr(self, name)
+            setattr(block, name, values[start:stop])
+            setattr(self, name, np.concatenate((values[:start], values[stop:])))
+        block.tags = self.tags[start:stop]
+        del self.tags[start:stop]
+        return block
+
+    def deltas(self, cap: float) -> Array:
+        """Learning rates min(cap, sqrt(gamma / (1 + V))), one per slot."""
+        return np.minimum(cap, np.sqrt(self.gamma / (1.0 + self.sq_dev)))
+
+
+def _logs(values: Array) -> Array:
+    # math.log rounds differently from np.log in the last bit on some inputs
+    return np.fromiter(map(math.log, values.tolist()), float, values.shape[0])
+
+
 def _simplex_from_logs(log_terms: Array) -> Array:
     shifted = log_terms - np.max(log_terms)
     w = np.exp(shifted)
@@ -51,15 +96,14 @@ def _simplex_from_logs(log_terms: Array) -> Array:
     return w / total
 
 
-def amlp_weights(slots: list[MetaSlot]) -> Array:
+def amlp_weights(slots: MetaSlots) -> Array:
     """Plain sleeping weights: p_i proportional to delta_i * x_i."""
-    if not slots:
+    if not len(slots):
         raise InputError("no active slots")
-    logs = np.array([math.log(s.delta(PLAIN_CAP)) + s.log_x for s in slots])
-    return _simplex_from_logs(logs)
+    return _simplex_from_logs(_logs(slots.deltas(PLAIN_CAP)) + slots.log_x)
 
 
-def amlp_update(slots: list[MetaSlot], ell_meta: float, ells: Array) -> None:
+def amlp_update(slots: MetaSlots, ell_meta: float, ells: Array) -> None:
     """Plain potential update after observing normalized losses.
 
     x_i <- (x_i * (1 + delta_i (ell_meta - ell_i)))^(delta_i' / delta_i),
@@ -68,32 +112,34 @@ def amlp_update(slots: list[MetaSlot], ell_meta: float, ells: Array) -> None:
     ells = np.asarray(ells, dtype=float)
     if ells.shape[0] != len(slots):
         raise InputError("loss vector length mismatch")
-    for slot, ell_i in zip(slots, ells):
-        r = ell_meta - float(ell_i)
-        if abs(r) > 1.0 + 1e-9:
-            raise InvariantViolation("meta-loss-range", f"|ell_t - ell_i| = {abs(r):.6g} > 1")
-        d_old = slot.delta(PLAIN_CAP)
-        slot.sq_dev += r * r
-        d_new = slot.delta(PLAIN_CAP)
-        slot.log_x = (d_new / d_old) * (slot.log_x + math.log1p(d_old * r))
-        slot.cum_r += r
+    r = ell_meta - ells
+    out = np.abs(r) > 1.0 + 1e-9
+    if out.any():
+        bad = abs(float(r[np.argmax(out)]))
+        raise InvariantViolation("meta-loss-range", f"|ell_t - ell_i| = {bad:.6g} > 1")
+    d_old = slots.deltas(PLAIN_CAP)
+    slots.sq_dev = slots.sq_dev + r * r
+    d_new = slots.deltas(PLAIN_CAP)
+    steps = np.fromiter(map(math.log1p, (d_old * r).tolist()), float, r.shape[0])
+    slots.log_x = (d_new / d_old) * (slots.log_x + steps)
+    slots.cum_r = slots.cum_r + r
 
 
-def oamlp_weights(slots: list[MetaSlot], hints: Array) -> Array:
+def _optimistic_base(slots: MetaSlots) -> tuple[Array, Array]:
+    """(ln delta_i + ln x_i, delta_i) of the optimistic weights."""
+    deltas = slots.deltas(OPTIMISTIC_CAP)
+    return _logs(deltas) + slots.log_x, deltas
+
+
+def oamlp_weights(slots: MetaSlots, hints: Array) -> Array:
     """Optimistic sleeping weights: p_i proportional to delta_i * x_i * exp(delta_i m_i)."""
-    if not slots:
+    if not len(slots):
         raise InputError("no active slots")
-    hints = np.asarray(hints, dtype=float)
-    logs = np.array(
-        [
-            math.log(s.delta(OPTIMISTIC_CAP)) + s.log_x + s.delta(OPTIMISTIC_CAP) * float(m)
-            for s, m in zip(slots, hints)
-        ]
-    )
-    return _simplex_from_logs(logs)
+    base, deltas = _optimistic_base(slots)
+    return _simplex_from_logs(base + deltas * np.asarray(hints, dtype=float))
 
 
-def oamlp_update(slots: list[MetaSlot], ell_meta: float, ells: Array, hints: Array) -> None:
+def oamlp_update(slots: MetaSlots, ell_meta: float, ells: Array, hints: Array) -> None:
     """Optimistic potential update.
 
     ln x_i <- (delta_i'/delta_i) * (ln x_i + delta_i (ell_meta - ell_i)
@@ -104,31 +150,41 @@ def oamlp_update(slots: list[MetaSlot], ell_meta: float, ells: Array, hints: Arr
     hints = np.asarray(hints, dtype=float)
     if ells.shape[0] != len(slots) or hints.shape[0] != len(slots):
         raise InputError("loss/hint vector length mismatch")
-    for slot, ell_i, m_i in zip(slots, ells, hints):
-        r = ell_meta - float(ell_i)
-        dev = r - float(m_i)
-        if abs(dev) > 2.0 + 1e-9:
-            raise InvariantViolation(
-                "composite-deviation-range", f"|ell_t - ell_i - m_i| = {abs(dev):.6g} > 2"
-            )
-        d_old = slot.delta(OPTIMISTIC_CAP)
-        slot.sq_dev += dev * dev
-        d_new = slot.delta(OPTIMISTIC_CAP)
-        slot.log_x = (d_new / d_old) * (slot.log_x + d_old * r - d_old * d_old * dev * dev)
-        slot.cum_r += r
+    r = ell_meta - ells
+    dev = r - hints
+    out = np.abs(dev) > 2.0 + 1e-9
+    if out.any():
+        bad = abs(float(dev[np.argmax(out)]))
+        raise InvariantViolation(
+            "composite-deviation-range", f"|ell_t - ell_i - m_i| = {bad:.6g} > 2"
+        )
+    d_old = slots.deltas(OPTIMISTIC_CAP)
+    slots.sq_dev = slots.sq_dev + dev * dev
+    d_new = slots.deltas(OPTIMISTIC_CAP)
+    slots.log_x = (d_new / d_old) * (slots.log_x + d_old * r - d_old * d_old * dev * dev)
+    slots.cum_r = slots.cum_r + r
 
 
 # ---------------------------------------------------------------------------
 # Normalized losses
 
 
-def normalized_loss(g: Array, w_meta: Array, w_i: Array, G: float, D: float) -> float:
-    """Plain meta loss (<g, w_i - w_meta> + GD) / (2GD), clamped only for roundoff."""
+def normalized_loss(g: Array, w_meta: Array, w_i: Array, G: float, D: float) -> float | Array:
+    """Plain meta loss (<g, w_i - w_meta> + GD) / (2GD), clamped only for roundoff.
+
+    `w_i` is one point (a float is returned) or an n x d stack of points (an
+    n-vector of losses is returned).
+    """
+    diff = np.asarray(w_i, dtype=float) - w_meta
     scale = G * D
-    v = (float(np.dot(g, w_i - w_meta)) + scale) / (2.0 * scale)
-    if v < -1e-6 or v > 1.0 + 1e-6:
-        raise InvariantViolation("normalized-loss-range", f"value {v:.8g} outside [0, 1]")
-    return min(1.0, max(0.0, v))
+    v = (row_dots(np.atleast_2d(diff), np.asarray(g, dtype=float)) + scale) / (2.0 * scale)
+    out = (v < -1e-6) | (v > 1.0 + 1e-6)
+    if out.any():
+        raise InvariantViolation(
+            "normalized-loss-range", f"value {float(v[np.argmax(out)]):.8g} outside [0, 1]"
+        )
+    v = np.minimum(1.0, np.maximum(0.0, v))
+    return v if diff.ndim == 2 else float(v[0])
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +192,7 @@ def normalized_loss(g: Array, w_meta: Array, w_i: Array, G: float, D: float) -> 
 
 
 def optimism_fixed_point(
-    slots: list[MetaSlot],
+    slots: MetaSlots,
     r_values: Array,
     GD: float,
     C: float,
@@ -146,7 +202,8 @@ def optimism_fixed_point(
 
     Returns (hints, gamma_star, residual, bisection_steps). Bisection keeps a
     sign bracket for h(gamma) = sum_i p_i(gamma) r_i - gamma, which satisfies
-    h(0) >= 0 >= h(C), and stops once |h| <= tol.
+    h(0) >= 0 >= h(C), and stops once |h| <= tol. The weights' gamma-free part
+    ln delta_i + ln x_i is computed once.
     """
     r_values = np.asarray(r_values, dtype=float)
     if np.any(r_values < -1e-12):
@@ -160,9 +217,10 @@ def optimism_fixed_point(
         hints = np.zeros_like(r_values)
         return hints, gamma_star, 0.0, 0
 
+    base, deltas = _optimistic_base(slots)
+
     def h(gamma: float) -> float:
-        hints = (gamma - r_values) / GD
-        p = oamlp_weights(slots, hints)
+        p = _simplex_from_logs(base + deltas * ((gamma - r_values) / GD))
         return float(np.dot(p, r_values)) - gamma
 
     lo, hi = 0.0, max(C, float(r_values.max()))

@@ -142,18 +142,19 @@ def test_criterion_02_meta_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
 
-    slots = [ar.MetaSlot(gamma=ar.gamma_for_end(e), end=e, born=1, tag=f"s{e}") for e in (4, 16, 64, 256)]
+    records = [ar.MetaSlot(gamma=ar.gamma_for_end(e), end=e, born=1, tag=f"s{e}") for e in (4, 16, 64, 256)]
     oracle = _PlainOracle()
-    for s in slots:
+    for s in records:
         oracle.add(s.gamma)
+    slots = ar.MetaSlots(records)
     for t in range(1, 1001):
         if rng.uniform() < 0.05:
             end = int(rng.integers(t, 4 * t + 4))
-            slots.append(ar.MetaSlot(gamma=ar.gamma_for_end(end), end=end, born=t, tag=f"b{t}"))
-            oracle.add(slots[-1].gamma)
+            slots.extend([ar.MetaSlot(gamma=ar.gamma_for_end(end), end=end, born=t, tag=f"b{t}")])
+            oracle.add(slots.gamma[-1])
         elif len(slots) > 2 and rng.uniform() < 0.03:
             k = int(rng.integers(0, len(slots)))
-            slots.pop(k)
+            slots.take(k, k + 1)
             oracle.slots.pop(k)
         p = ar.amlp_weights(slots)
         p_ref = oracle.weights()
@@ -163,11 +164,12 @@ def test_criterion_02_meta_oracle_equivalence():
         ar.amlp_update(slots, ell_meta, ells)
         oracle.update(ell_meta, ells)
 
-    slots = [ar.MetaSlot(gamma=math.log(5.0), end=1000, born=1, tag=f"o{i}", log_x=-math.log(5.0)) for i in range(5)]
+    records = [ar.MetaSlot(gamma=math.log(5.0), end=1000, born=1, tag=f"o{i}", log_x=-math.log(5.0)) for i in range(5)]
     opt = _OptimisticOracle()
-    for s in slots:
+    for s in records:
         opt.add(s.gamma)
         opt.slots[-1]["x"] = 1.0 / 5.0
+    slots = ar.MetaSlots(records)
     for t in range(1, 1001):
         hints = rng.uniform(-1.0, 1.0, size=len(slots))
         p = ar.oamlp_weights(slots, hints)

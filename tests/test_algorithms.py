@@ -217,7 +217,7 @@ def test_universal_expert_usage_errors(box1):
     with pytest.raises(ar.UsageError):
         exp.point()
     meta = ar.algorithms.MetaAggregator(box1, 1.0)
-    slots = [ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in range(2)]
+    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in range(2)])
     with pytest.raises(ar.UsageError):
         meta.update(np.zeros(1))
     meta.point(slots, np.zeros((2, 1)))
@@ -235,7 +235,7 @@ def test_aggregator_checks_run_where_enabled(box1, check):
     reg = ar.Regularizer("l1", 0.1)
     for kind, name in ((None, "meta-loss-center"), (reg, "composite-deviation-identity")):
         meta = ar.algorithms.MetaAggregator(box1, 1.0, kind, fp_tol=1e-3, check=check)
-        meta.point([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in pts], pts)
+        meta.point(ar.MetaSlots([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in pts]), pts)
         if kind is None:
             meta.w = meta.w + 0.5  # not the weighted average: meta loss 3/8
         else:
@@ -251,6 +251,39 @@ def test_aggregator_checks_run_where_enabled(box1, check):
     assert on.meta.check is check
     assert not on._build(ar.GCInterval(1, 8, 3))[0].meta.check
     assert not ar.algorithms.UniversalExpert(box1, 1.0, 8).meta.check
+
+
+class _SkewedPoints(np.ndarray):
+    """Expert points whose p @ pts is off the weighted average by 1e-9."""
+
+    def __rmatmul__(self, other):
+        return np.asarray(other @ np.asarray(self)) + 1e-9
+
+
+def test_aggregation_check_rejects_a_played_point_off_the_average(box1):
+    pts = np.array([[-0.5], [0.5]])
+    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in pts])
+    ar.algorithms.MetaAggregator(box1, 1.0, check=True).point(slots, pts)
+    meta = ar.algorithms.MetaAggregator(box1, 1.0, check=True)
+    with pytest.raises(ar.InvariantViolation) as exc:
+        meta.point(slots, pts.view(_SkewedPoints))
+    assert exc.value.name == "aggregation"
+    # the learners check by default
+    learner = ar.build_learner(_cfg("uma2-surrogate", box1, 8))
+    assert learner.meta.check
+
+
+def test_weight_simplex_check_rejects_weights_off_the_simplex(box1, monkeypatch):
+    pts = np.array([[-0.5], [0.5]])
+    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in pts])
+
+    def off_simplex(slots):
+        return np.full(len(slots), 0.5 + 1e-9)
+
+    monkeypatch.setattr(ar.algorithms, "amlp_weights", off_simplex)
+    with pytest.raises(ar.InvariantViolation) as exc:
+        ar.algorithms.MetaAggregator(box1, 1.0, check=True).point(slots, pts)
+    assert exc.value.name == "weight-simplex"
 
 
 def test_invariant_checks_can_be_disabled(box1):

@@ -1,5 +1,6 @@
 """Domain geometry, regularizers, loss specs, and validation helpers."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -57,6 +58,48 @@ def test_domain_input_validation():
         ar.Domain.ball(np.zeros(2), -1.0)
     with pytest.raises(InputError):
         ar.Domain.box(np.array([1.0]), np.array([0.0]))
+
+
+def test_domain_equality_and_hash_follow_contents():
+    ball = ar.Domain.ball(np.array([0.3, -0.2]), 0.5)
+    box = ar.Domain.box(np.array([-1.0, 0.0]), np.array([1.0, 0.5]))
+    for dom in (ball, box):
+        twin = pickle.loads(pickle.dumps(dom))
+        assert twin == dom and hash(twin) == hash(dom)
+    others = [
+        ar.Domain.ball(np.array([0.3, -0.2]), 0.6),
+        ar.Domain.ball(np.array([0.3, 0.2]), 0.5),
+        ar.Domain.ball(np.array([0.3, -0.2, 0.0]), 0.5),
+        ar.Domain.box(np.array([-1.0, 0.0]), np.array([1.0, 0.75])),
+        ar.Domain.box(np.array([-1.0]), np.array([1.0])),
+    ]
+    for dom in others:
+        assert dom != ball and dom != box
+    assert ball != box and ball != "ball"
+    assert len({ball, box, *others, pickle.loads(pickle.dumps(box))}) == 7
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_row_maps_match_per_row_calls(d):
+    # the stacked maps return, row for row, the bits of the one-vector calls
+    rng = np.random.default_rng(d)
+    X = rng.normal(scale=1.5, size=(60, d)) * 10.0 ** rng.uniform(-2, 1, size=(60, 1))
+    y = rng.normal(size=d)
+    assert np.array_equal(ar.core.row_dots(X, y), [np.dot(y, x) for x in X])
+    assert np.array_equal(ar.core.row_dots(X, X), [np.dot(x, x) for x in X])
+    for dom in (
+        ar.Domain.box(-0.5 * np.ones(d), np.linspace(0.2, 0.9, d)),
+        ar.Domain.ball(np.zeros(d), 0.7),
+        ar.Domain.ball(rng.uniform(-0.5, 0.5, size=d), 0.4),
+    ):
+        Xd = np.concatenate([X, dom.project_rows(X), dom.project_rows(X) * (1.0 + 5e-10)])
+        assert np.array_equal(dom.project_rows(Xd), np.stack([dom.project(x) for x in Xd]))
+        assert np.array_equal(dom.contains_rows(Xd), [dom.contains(x) for x in Xd])
+    scale = rng.uniform(0.01, 2.0, size=X.shape[0])
+    for reg in (ar.Regularizer(), ar.Regularizer("l1", 0.3), ar.Regularizer("squared-l2", 0.4)):
+        want = np.stack([reg.prox(x, s) for x, s in zip(X, scale)])
+        assert np.array_equal(reg.prox_rows(X, scale), want)
+        assert np.array_equal(reg.value_rows(X), [reg.value(x) for x in X])
 
 
 # ---------------------------------------------------------------------------

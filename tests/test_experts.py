@@ -7,7 +7,12 @@ import pytest
 from scipy.optimize import minimize
 
 import adaregret as ar
-from adaregret.experts import _prox_onto_ball, a_norm_project, prox_quadratic_argmin
+from adaregret.experts import (
+    _prox_onto_ball,
+    a_norm_project,
+    prox_onto,
+    prox_quadratic_argmin,
+)
 from adaregret.harness import _aggregate_quadratic, _WindowEval
 
 
@@ -398,13 +403,13 @@ def test_composite_sc_expert_prox_scaling(box1):
     # update is a closed-form soft-threshold step.
     reg = ar.Regularizer("l1", 0.02)
     eta = 0.5
-    exp = ar.SurrogateScExpert(box1, eta=eta, G=1.0, reg=reg)
+    exp = ar.SurrogateStack(box1, G=1.0, etas=[eta], reg=reg)  # row 1: comp-sc[eta]
     exp.update(np.array([0.3]), anchor=np.array([0.0]), t_local=1)
     step = 1.0 / (2.0 * eta * eta * 1.0)
     z = 0.0 - step * (eta * 0.3)
     want = float(np.clip(np.sign(z) * max(abs(z) - step * eta * 0.02, 0.0), -1, 1))
     assert want == pytest.approx(-0.28)
-    assert exp.point()[0] == pytest.approx(want, abs=1e-12)
+    assert exp.points()[1][0] == pytest.approx(want, abs=1e-12)
 
 
 @pytest.mark.parametrize("reg_kind", ["l1", "squared-l2"])
@@ -428,16 +433,17 @@ def test_composite_step_on_off_centre_ball_matches_slsqp(expert, d, reg_kind):
             exp = ar.ProxGradExpert(dom, G=1.0, step=step, reg=reg, tag="fobos")
             anchor = w0
             x, scale = w0 - step * g, step
+            exp.w = w0
         else:
             eta = 1.0 / (5.0 * dom.diameter)
-            exp = ar.SurrogateScExpert(dom, eta=eta, G=1.0, reg=reg)
+            exp = ar.SurrogateStack(dom, G=1.0, etas=[eta], reg=reg)  # row 1: comp-sc[eta]
             anchor = dom.sample(rng)
             _, gs = ar.surrogate_sc_eval(eta, 1.0, g, anchor, w0)
             step = 1.0 / (2.0 * eta**2)
             x, scale = w0 - step * gs, step * eta
-        exp.w = w0
+            exp.W[1] = w0
         exp.update(g, anchor, 1)
-        got = exp.point()
+        got = exp.points()[-1]
         eye, zero = np.eye(d), np.zeros(d)
         ref = _slsqp_quadratic_model(dom, eye, 1.0, x, zero, reg, scale)
         assert dom.contains(got)
@@ -472,13 +478,13 @@ def test_prox_quadratic_argmin_one_dim_grid(box1, rng):
 def test_prox_ons_expert_one_dim_against_grid(box1):
     reg = ar.Regularizer("l1", 0.2)
     eta = 0.1
-    exp = ar.ONSExpert(box1, ar.SURROGATE_GAMMA, eta=eta, reg=reg)
+    exp = ar.SurrogateStack(box1, 1.0, [eta], reg)  # row 0: prox-ons[eta]
     rng = np.random.default_rng(5)
     for t in range(1, 15):
         g = np.array([float(rng.uniform(-1, 1))])
         anchor = np.array([float(rng.uniform(-0.5, 0.5))])
-        w_prev = exp.point().copy()
-        A_prev = exp.A.copy()
+        w_prev = exp.points()[0].copy()
+        A_prev = exp.A[0].copy()
         exp.update(g, anchor, t)
         _, gs = ar.surrogate_exp_eval(eta, g, anchor, w_prev)
         A = A_prev + np.outer(gs, gs)
@@ -488,7 +494,7 @@ def test_prox_ons_expert_one_dim_against_grid(box1):
             + 0.5 * gamma * float(A[0, 0]) * (z - float(w_prev[0])) ** 2
             + eta * 0.2 * abs(z)
         )
-        assert exp.point()[0] == pytest.approx(want, abs=1e-3)
+        assert exp.points()[0][0] == pytest.approx(want, abs=1e-3)
 
 
 def test_expert_tags_distinct(box1):
@@ -499,11 +505,9 @@ def test_expert_tags_distinct(box1):
         ar.ProxGradExpert(box1, 1.0, tag="ogd-dim").tag,
         ar.OGDStronglyConvex(box1, 0.5).tag,
         ar.ONSExpert(box1, 0.25).tag,
-        ar.ONSExpert(box1, ar.SURROGATE_GAMMA, 0.1).tag,
-        ar.SurrogateScExpert(box1, 0.1, 1.0).tag,
+        *ar.SurrogateStack(box1, 1.0, [0.1]).tags,  # sur-exp, sur-sc
         ar.ProxGradExpert(box1, 1.0, step=0.1, reg=reg, tag="fobos").tag,
-        ar.SurrogateScExpert(box1, 0.1, 1.0, reg=reg).tag,
-        ar.ONSExpert(box1, ar.SURROGATE_GAMMA, 0.1, reg).tag,
+        *ar.SurrogateStack(box1, 1.0, [0.1], reg).tags,  # prox-ons, comp-sc
     }
     assert len(tags) == 9
     assert {t.split("[")[0] for t in tags} == {
@@ -575,6 +579,20 @@ def _sc(eta, G, reg=None):
     return step
 
 
+class _StackRow:
+    """Row `row` of a one-eta SurrogateStack as an expert: 0 is the Newton
+    row (sur-exp, prox-ons), 1 the gradient row (sur-sc, comp-sc)."""
+
+    def __init__(self, stack, row):
+        self.stack, self.row = stack, row
+
+    def point(self):
+        return self.stack.points()[self.row]
+
+    def update(self, g, anchor, t):
+        self.stack.update(g, anchor, t)
+
+
 class _EnsembleLoop:
     """The plain (UniversalExpert) and optimistic (UMSCompCore) meta loops
     written out with the meta functions, over a second copy of the experts."""
@@ -585,7 +603,7 @@ class _EnsembleLoop:
         self.C = reg.bound_on(dom) if reg is not None else 0.0
 
     def point(self):
-        self.pts = np.stack([e.point() for e in self.experts])
+        self.pts = np.concatenate([e.points() for e in self.experts])
         if self.reg is None:
             self.p = ar.amlp_weights(self.slots)
         else:
@@ -637,26 +655,29 @@ _PROTOCOL_CASES = {
     ),
     "ons": lambda d: (ar.ONSExpert(d, 0.25), _Recursion(d, _ons(0.25), curvature=0.25)),
     "sur-exp": lambda d: (
-        ar.ONSExpert(d, ar.SURROGATE_GAMMA, 0.1),
+        _StackRow(ar.SurrogateStack(d, _G, [0.1]), 0),
         _Recursion(d, _ons(ar.SURROGATE_GAMMA, eta=0.1), curvature=ar.SURROGATE_GAMMA),
     ),
     "prox-ons": lambda d: (
-        ar.ONSExpert(d, ar.SURROGATE_GAMMA, 0.1, _L1),
+        _StackRow(ar.SurrogateStack(d, _G, [0.1], _L1), 0),
         _Recursion(d, _prox_ons(_L1, 0.1), curvature=ar.SURROGATE_GAMMA),
     ),
     # with a zero regularizer the proximal Newton step is the A-norm
     # projection of the Newton target, the sur-exp recursion
     "prox-ons-zero": lambda d: (
-        ar.ONSExpert(d, ar.SURROGATE_GAMMA, 0.1, _ZERO),
+        _StackRow(ar.SurrogateStack(d, _G, [0.1], _ZERO), 0),
         _Recursion(d, _ons(ar.SURROGATE_GAMMA, eta=0.1), curvature=ar.SURROGATE_GAMMA),
     ),
-    "sur-sc": lambda d: (ar.SurrogateScExpert(d, 0.1, _G), _Recursion(d, _sc(0.1, _G))),
+    "sur-sc": lambda d: (
+        _StackRow(ar.SurrogateStack(d, _G, [0.1]), 1),
+        _Recursion(d, _sc(0.1, _G)),
+    ),
     "comp-sc-l1": lambda d: (
-        ar.SurrogateScExpert(d, 0.1, _G, reg=_L1),
+        _StackRow(ar.SurrogateStack(d, _G, [0.1], _L1), 1),
         _Recursion(d, _sc(0.1, _G, _L1)),
     ),
     "comp-sc-zero": lambda d: (
-        ar.SurrogateScExpert(d, 0.1, _G, reg=_ZERO),
+        _StackRow(ar.SurrogateStack(d, _G, [0.1], _ZERO), 1),
         _Recursion(d, _sc(0.1, _G, _ZERO)),
     ),
     "universal": lambda d: (
@@ -685,3 +706,128 @@ def test_update_protocol_matches_recursion(name):
         expert.update(g, anchor, t)
         ref.update(g, anchor, t)
     assert np.array_equal(expert.point(), ref.point())
+
+
+@pytest.mark.parametrize("d", [2, 5])
+def test_squared_l2_prox_onto_off_centre_ball_is_projected_prox(d):
+    # the squared-l2 prox scales x toward the origin, and the constrained
+    # minimizer lies on the ray from the centre through the prox point, so
+    # prox_onto composes project(prox(x)); the multiplier bisection of
+    # _prox_onto_ball reaches the same point up to round-off
+    rng = np.random.default_rng(20 + d)
+    reg = ar.Regularizer("squared-l2", 0.4)
+    eye, zero = np.eye(d), np.zeros(d)
+    for _ in range(100):
+        dom = ar.Domain.ball(rng.uniform(-0.8, 0.8, size=d), float(rng.uniform(0.2, 0.6)))
+        x = rng.uniform(-2.0, 2.0, size=d)
+        scale = float(rng.uniform(0.05, 2.0))
+        got = prox_onto(dom, reg, x, scale)
+        assert np.array_equal(got, dom.project(reg.prox(x, scale)))
+        ref = _prox_onto_ball(dom, reg, x, scale)
+        assert dom.contains(got)
+        assert np.allclose(got, ref, atol=1e-12)
+        v_got = _model_value(eye, 1.0, x, zero, reg, scale, got)
+        v_ref = _model_value(eye, 1.0, x, zero, reg, scale, ref)
+        assert v_got <= v_ref + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# The stacked surrogate experts against the per-expert recursions
+
+
+class _SurExpRef:
+    """[DERIVED] ONS on the exp-concave surrogate (+ eta r), one expert per
+    eta, written out as the per-expert class that the stack replaced."""
+
+    def __init__(self, domain, eta, reg):
+        self.domain, self.eta, self.reg = domain, eta, reg
+        self.curvature = ar.SURROGATE_GAMMA
+        self.w = domain.project(domain.center)
+        eps = 1.0 / (self.curvature**2 * domain.diameter**2)
+        self.A = eps * np.eye(domain.dim)
+
+    def update(self, g, anchor, t_local):
+        _, g = ar.surrogate_exp_eval(self.eta, g, anchor, self.w)
+        self.A += np.outer(g, g)
+        self.w = prox_quadratic_argmin(
+            self.domain, self.A, self.curvature, self.w, g, self.reg, self.eta
+        )
+
+
+class _SurScRef:
+    """[DERIVED] gradient steps 1/(2 eta^2 G^2 t) on the strongly convex
+    surrogate (+ eta r), one expert per eta, as the per-expert class was."""
+
+    def __init__(self, domain, eta, G, reg):
+        self.domain, self.eta, self.G, self.reg = domain, eta, G, reg
+        self.w = domain.project(domain.center)
+
+    def update(self, g, anchor, t_local):
+        _, gs = ar.surrogate_sc_eval(self.eta, self.G, g, anchor, self.w)
+        step = 1.0 / (2.0 * self.eta**2 * self.G**2 * t_local)
+        self.w = prox_onto(self.domain, self.reg, self.w - step * gs, step * self.eta)
+
+
+def _stack_domains(d):
+    rng = np.random.default_rng(100 + d)
+    return {
+        "box": ar.Domain.box(-0.3 * np.ones(d), np.linspace(0.2, 0.5, d)),
+        "origin-ball": ar.Domain.ball(np.zeros(d), 0.4),
+        "off-centre-ball": ar.Domain.ball(rng.uniform(-0.5, 0.5, size=d), 0.35),
+    }
+
+
+@pytest.mark.parametrize("reg_kind", ["none", "l1", "squared-l2"])
+@pytest.mark.parametrize("kind", ["box", "origin-ball", "off-centre-ball"])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_surrogate_stack_matches_per_expert_recursions(d, kind, reg_kind):
+    # every row of the stack reproduces its expert's recursion bit for bit,
+    # in the interleaved order (ONS, OGD) per eta that fixes the slot order;
+    # the domains are small, so projections and iterative solves engage
+    dom = _stack_domains(d)[kind]
+    reg = None if reg_kind == "none" else ar.Regularizer(reg_kind, 0.3)
+    G = 1.0
+    etas = [float(e) for e in ar.eta_grid(64, dom.diameter, G)]
+    stack = ar.SurrogateStack(dom, G, etas, reg)
+    refs = [r for eta in etas for r in (_SurExpRef(dom, eta, reg), _SurScRef(dom, eta, G, reg))]
+    ons, sc = ("sur-exp", "sur-sc") if reg is None else ("prox-ons", "comp-sc")
+    assert stack.tags == [f"{k}[{eta!r}]" for eta in etas for k in (ons, sc)]
+    rng = np.random.default_rng(d * 7 + len(kind) + len(reg_kind))
+    push = rng.normal(size=d)  # drives the iterates onto the boundary
+    push *= 2.0 / float(np.linalg.norm(push))
+    for t in range(1, 41):
+        assert np.array_equal(stack.points(), np.stack([r.w for r in refs]))
+        g = rng.uniform(-1.0, 1.0, size=d) + (push if t % 8 else -push)
+        g *= G * rng.uniform(0.3, 1.0) / float(np.linalg.norm(g))
+        anchor = dom.project(rng.uniform(-1.0, 1.0, size=d))
+        stack.update(g, anchor, t)
+        for r in refs:
+            r.update(g, anchor, t)
+        assert np.array_equal(stack.A, np.stack([r.A for r in refs[0::2]]))
+    assert np.array_equal(stack.points(), np.stack([r.w for r in refs]))
+
+
+@pytest.mark.parametrize("kind", ["box", "ball"])
+def test_one_dim_newton_rows_match_the_a_norm_projection(kind):
+    # at d = 1 the stack projects an infeasible Newton target in closed form,
+    # as proximal_gradient's one step from the Euclidean projection; the
+    # Euclidean projection alone is off by an ulp on some balls
+    rng = np.random.default_rng(3 + len(kind))
+    beta = ar.SURROGATE_GAMMA
+    for _ in range(3000):
+        c = rng.uniform(-2.0, 2.0, size=1) * (rng.random() < 0.5)
+        r = float(10.0 ** rng.uniform(-2.0, 0.5))
+        if kind == "ball":
+            dom = ar.Domain.ball(c, r)
+        else:
+            dom = ar.Domain.box(c - r, c + r * rng.uniform(0.5, 2.0))
+        stack = ar.SurrogateStack(dom, 1.0, [0.1, 0.05, 0.025])
+        stack.A = 10.0 ** rng.uniform(-1.0, 4.0, size=(3, 1, 1))
+        w = dom.project_rows(rng.uniform(-3.0, 3.0, size=(3, 1)))
+        sides = np.sign(rng.standard_normal(size=(3, 1)))
+        targets = dom.center + sides * r * (1.0 + 10.0 ** rng.uniform(-8.0, 1.0, size=(3, 1)))
+        gs = (w - targets) * stack.A[:, 0] * beta
+        want = np.stack(
+            [prox_quadratic_argmin(dom, stack.A[i], beta, w[i], gs[i], None, 0.0) for i in range(3)]
+        )
+        assert np.array_equal(stack._newton_step(w, gs), want)

@@ -767,7 +767,7 @@ def test_composite_expert_count_matches_construction(box1):
     reg = ar.Regularizer("l1", 0.1)
     for horizon in (1, 2, 16, 100, 1024):
         core = UMSCompCore(box1, 1.0, reg, horizon, fp_tol=1e-3)
-        assert len(core.experts) == ar.composite_expert_count(horizon)
+        assert len(core.slots) == ar.composite_expert_count(horizon)
 
 
 # [DERIVED] independent transcription of each bound formula, evaluated at

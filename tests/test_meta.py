@@ -10,10 +10,10 @@ from adaregret.meta import OPTIMISTIC_CAP, PLAIN_CAP, MetaSlot
 
 
 def _fresh_slots(n, end=1000):
-    return [
+    return ar.MetaSlots(
         ar.MetaSlot(gamma=ar.gamma_for_end(end), end=end, born=1, tag=f"e{i}")
         for i in range(n)
-    ]
+    )
 
 
 class _PlainOracle:
@@ -69,7 +69,7 @@ def test_plain_meta_matches_oracle_1000_rounds():
     rng = np.random.default_rng(42)
     n = 6
     slots = _fresh_slots(n)
-    oracle = _PlainOracle(n, slots[0].gamma)
+    oracle = _PlainOracle(n, slots.gamma[0])
     for _ in range(1000):
         p = ar.amlp_weights(slots)
         p_oracle = oracle.weights()
@@ -84,7 +84,7 @@ def test_optimistic_meta_matches_oracle_1000_rounds():
     rng = np.random.default_rng(43)
     n = 5
     slots = _fresh_slots(n)
-    oracle = _OptimisticOracle(n, slots[0].gamma)
+    oracle = _OptimisticOracle(n, slots.gamma[0])
     for _ in range(1000):
         hints = rng.uniform(0.0, 1.0, size=n)
         p = ar.oamlp_weights(slots, hints)
@@ -103,16 +103,19 @@ def test_weights_simplex_under_births_and_deaths():
     for t in range(10_000):
         if rng.random() < 0.08:  # birth
             counter += 1
-            slots.append(
-                MetaSlot(
-                    gamma=ar.gamma_for_end(int(rng.integers(1, 10_000))),
-                    end=0,
-                    born=t,
-                    tag=f"b{counter}",
-                )
+            slots.extend(
+                [
+                    MetaSlot(
+                        gamma=ar.gamma_for_end(int(rng.integers(1, 10_000))),
+                        end=0,
+                        born=t,
+                        tag=f"b{counter}",
+                    )
+                ]
             )
         if len(slots) > 2 and rng.random() < 0.05:  # death
-            slots.pop(int(rng.integers(0, len(slots))))
+            k = int(rng.integers(0, len(slots)))
+            slots.take(k, k + 1)
         p = ar.amlp_weights(slots)
         assert abs(float(p.sum()) - 1.0) <= 1e-12
         assert np.all(p >= 0.0)
@@ -178,9 +181,9 @@ def test_fixed_point_matches_dense_scan():
     for trial in range(5):
         n = 4
         slots = _fresh_slots(n)
-        for s in slots:  # desynchronize states
-            s.log_x = float(rng.uniform(-0.5, 0.5))
-            s.sq_dev = float(rng.uniform(0.0, 5.0))
+        for i in range(n):  # desynchronize states
+            slots.log_x[i] = float(rng.uniform(-0.5, 0.5))
+            slots.sq_dev[i] = float(rng.uniform(0.0, 5.0))
         r_values = rng.uniform(0.0, 0.4, size=n)
         GD, C = 1.5, 0.5
         hints, gamma_star, residual, _ = ar.optimism_fixed_point(
@@ -232,3 +235,159 @@ def test_lemma_helper_values():
     )
     rhs = ar.meta_lemma_rhs(gamma, 10, 100, 4.0)
     assert rhs == pytest.approx((gbar / math.sqrt(2.0)) * math.sqrt(5.0) + 2 * gbar)
+
+
+# ---------------------------------------------------------------------------
+# The array-backed slots against the per-slot loops they replaced
+
+
+def _ref_simplex(log_terms):
+    shifted = log_terms - np.max(log_terms)
+    w = np.exp(shifted)
+    return w / float(w.sum())
+
+
+def _ref_amlp_weights(slots):
+    # [DERIVED] per-slot loop over MetaSlot records
+    return _ref_simplex(np.array([math.log(s.delta(PLAIN_CAP)) + s.log_x for s in slots]))
+
+
+def _ref_amlp_update(slots, ell_meta, ells):
+    for slot, ell_i in zip(slots, ells):
+        r = ell_meta - float(ell_i)
+        d_old = slot.delta(PLAIN_CAP)
+        slot.sq_dev += r * r
+        d_new = slot.delta(PLAIN_CAP)
+        slot.log_x = (d_new / d_old) * (slot.log_x + math.log1p(d_old * r))
+        slot.cum_r += r
+
+
+def _ref_oamlp_weights(slots, hints):
+    logs = [
+        math.log(s.delta(OPTIMISTIC_CAP)) + s.log_x + s.delta(OPTIMISTIC_CAP) * float(m)
+        for s, m in zip(slots, hints)
+    ]
+    return _ref_simplex(np.array(logs))
+
+
+def _ref_oamlp_update(slots, ell_meta, ells, hints):
+    for slot, ell_i, m_i in zip(slots, ells, hints):
+        r = ell_meta - float(ell_i)
+        dev = r - float(m_i)
+        d_old = slot.delta(OPTIMISTIC_CAP)
+        slot.sq_dev += dev * dev
+        d_new = slot.delta(OPTIMISTIC_CAP)
+        slot.log_x = (d_new / d_old) * (slot.log_x + d_old * r - d_old * d_old * dev * dev)
+        slot.cum_r += r
+
+
+def _ref_fixed_point(slots, r_values, GD, C, tol):
+    # the bisection with the weights recomputed from the slots at every step
+    if C == 0.0 or float(r_values.max() - r_values.min()) == 0.0:
+        return np.zeros_like(r_values), float(r_values[0]), 0.0, 0
+
+    def h(gamma):
+        p = _ref_oamlp_weights(slots, (gamma - r_values) / GD)
+        return float(np.dot(p, r_values)) - gamma
+
+    lo, hi = 0.0, max(C, float(r_values.max()))
+    val = h(lo)
+    gamma_star, residual, steps = lo, abs(val), 0
+    while abs(val) > tol:
+        mid = 0.5 * (lo + hi)
+        val = h(mid)
+        steps += 1
+        if abs(val) <= tol:
+            gamma_star, residual = mid, abs(val)
+        elif val > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return (gamma_star - r_values) / GD, gamma_star, residual, steps
+
+
+def _ref_normalized_loss(g, w_meta, w_i, G, D):
+    scale = G * D
+    v = (float(np.dot(g, w_i - w_meta)) + scale) / (2.0 * scale)
+    return min(1.0, max(0.0, v))
+
+
+def _assert_same_state(slots, records):
+    assert slots.tags == [s.tag for s in records]
+    for name in ("gamma", "log_x", "sq_dev", "cum_r"):
+        assert np.array_equal(getattr(slots, name), [getattr(s, name) for s in records])
+
+
+@pytest.mark.parametrize("optimistic", [False, True])
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_meta_slots_match_per_slot_loops(d, optimistic):
+    # blocks of slots are born at the end and die as contiguous blocks, as the
+    # cohorts do; weights, losses, fixed points and every slot's state keep
+    # the per-slot loops' bits
+    rng = np.random.default_rng(31 * d + optimistic)
+    G, D = 1.0, 2.0
+    records, slots, counter = [], ar.MetaSlots(), 0
+    for t in range(1, 301):
+        if not records or rng.random() < 0.2:  # a cohort's birth
+            end = int(rng.integers(t, 4 * t + 4))
+            log_x = -math.log(5.0) if optimistic else 0.0
+            block = [
+                MetaSlot(ar.gamma_for_end(end), end, t, f"c{counter}-{i}", log_x)
+                for i in range(int(rng.integers(1, 8)))
+            ]
+            counter += 1
+            records += [MetaSlot(**vars(s)) for s in block]
+            slots.extend(block)
+        if len(records) > 8 and rng.random() < 0.2:  # a cohort's death
+            start = int(rng.integers(0, len(records) - 1))
+            stop = int(rng.integers(start + 1, min(len(records), start + 8) + 1))
+            dead = slots.take(start, stop)
+            _assert_same_state(dead, records[start:stop])
+            del records[start:stop]
+        _assert_same_state(slots, records)
+        pts = rng.uniform(-1.0, 1.0, size=(len(records), d)) / math.sqrt(d)
+        g = rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d)
+        if optimistic:
+            r_values = rng.uniform(0.0, 0.5, size=len(records))
+            got = ar.optimism_fixed_point(slots, r_values, G * D, 0.5, 1e-6)
+            want = _ref_fixed_point(records, r_values, G * D, 0.5, 1e-6)
+            assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
+            p = ar.oamlp_weights(slots, got[0])
+            assert np.array_equal(p, _ref_oamlp_weights(records, want[0]))
+            ells = ((pts - p @ pts) @ g + r_values) / (G * D)
+            ar.oamlp_update(slots, float(p @ ells), ells, got[0])
+            _ref_oamlp_update(records, float(p @ ells), ells, want[0])
+        else:
+            p = ar.amlp_weights(slots)
+            assert np.array_equal(p, _ref_amlp_weights(records))
+            w = p @ pts
+            ells = ar.normalized_loss(g, w, pts, G, D)
+            assert np.array_equal(ells, [_ref_normalized_loss(g, w, x, G, D) for x in pts])
+            ar.amlp_update(slots, float(p @ ells), ells)
+            _ref_amlp_update(records, float(p @ ells), ells)
+    _assert_same_state(slots, records)
+
+
+def test_meta_weights_match_per_slot_loops_on_random_states():
+    # many desynchronized slots, so the per-slot math.log/log1p calls meet the
+    # inputs on which numpy's vectorized log rounds differently
+    rng = np.random.default_rng(5)
+    records = [
+        MetaSlot(
+            gamma=float(rng.uniform(0.01, 20.0)),
+            end=0,
+            born=0,
+            tag=f"s{i}",
+            log_x=float(rng.uniform(-3.0, 3.0)),
+            sq_dev=float(10.0 ** rng.uniform(-2, 4)),
+        )
+        for i in range(20_000)
+    ]
+    slots = ar.MetaSlots(records)
+    hints = rng.uniform(-1.0, 1.0, size=len(records))
+    assert np.array_equal(ar.amlp_weights(slots), _ref_amlp_weights(records))
+    assert np.array_equal(ar.oamlp_weights(slots, hints), _ref_oamlp_weights(records, hints))
+    ells = rng.uniform(0.0, 1.0, size=len(records))
+    ar.amlp_update(slots, 0.5, ells)
+    _ref_amlp_update(records, 0.5, ells)
+    _assert_same_state(slots, records)
