@@ -1,12 +1,14 @@
 """End-to-end learner behavior: determinism, gradient accounting, expert
 lifecycle, meta-regret certificates, and baseline recursions."""
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 import adaregret as ar
 from tests.conftest import make_absolute_stream
+from tests.test_experts import _ons, _prox_grad, _Recursion
 
 
 def _zero_stream(horizon, dim):
@@ -102,10 +104,87 @@ def test_one_gradient_per_round(algo, box1):
 
 
 def test_grid_learner_uses_many_gradients(box1):
+    # one gradient at the played point plus one per live expert row
     events = make_absolute_stream(20, box1, noise=0.25, seed=1)
     learner = ar.build_learner(_cfg("uma2-grid", box1, 20))
-    ar.run(learner, events)
-    assert learner.grad_evals > 20
+    recs = ar.run(learner, events)
+    assert learner.grad_evals == 20 + sum(r.live_experts for r in recs)
+
+
+def _ogd_sc(lam):
+    def step(r, g, anchor, t):
+        r.w = r.dom.project(r.w - g / (lam * t))
+
+    return step
+
+
+def _grid_reference(dom, G, events):
+    """[DERIVED] uma2-grid written out one expert row at a time: per GC
+    interval a fixed-step OGD, then ONS per modulus, then strongly convex OGD
+    per modulus, each a recursion fed `LossSpec.grad` at its own point, under
+    the plain meta. Returns the played points, the meta log as tuples, the
+    gradient count and the number of row updates that ended on the sphere."""
+    T, D = len(events), dom.diameter
+    moduli = [float(a) for a in ar.rate_grid(T)]
+    betas = [ar.exp_concave_beta(G, D, a) for a in moduli]
+    tags = ["ogd"] + [f"ons[{a!r}]" for a in moduli] + [f"ogd-sc[{a!r}]" for a in moduli]
+    sched, slots = ar.LifetimeScheduler(), ar.MetaSlots()
+    meta = ar.algorithms.MetaAggregator(dom, G, check=True)
+    cohorts, traj, log = {}, [], []
+    evals = created = on_sphere = 0
+
+    def retire(iv, s_eff):
+        start = 0
+        for other in cohorts:
+            if other == iv:
+                break
+            start += len(cohorts[other])
+        block = slots.take(start, start + len(cohorts.pop(iv)))
+        for tag, gamma, lhs, sq_dev in zip(
+            block.tags, block.gamma.tolist(), block.cum_r.tolist(), block.sq_dev.tolist()
+        ):
+            rhs = ar.meta_lemma_rhs(gamma, created, s_eff, sq_dev)
+            log.append((iv.start, iv.end, s_eff, tag, lhs, rhs, sq_dev, created))
+
+    for t, loss in enumerate(events, start=1):
+        born, dying = sched.advance(t)
+        for iv in born:
+            step = D / (G * math.sqrt(iv.length))
+            rows = [_Recursion(dom, _prox_grad(lambda s, step=step: step))]
+            rows += [_Recursion(dom, _ons(beta), curvature=beta) for beta in betas]
+            rows += [_Recursion(dom, _ogd_sc(lam)) for lam in moduli]
+            gamma = ar.gamma_for_end(iv.end)
+            slots.extend(ar.MetaSlot(gamma=gamma, end=iv.end, born=t, tag=tag) for tag in tags)
+            cohorts[iv] = rows
+            created += len(rows)
+        w = meta.point(slots, np.stack([r.w for rows in cohorts.values() for r in rows]))
+        traj.append(w)
+        meta.update(loss.grad(w))
+        evals += 1
+        for iv, rows in cohorts.items():
+            for r in rows:
+                r.update(loss.grad(r.w), w, t - iv.start + 1)
+                evals += 1
+                on_sphere += abs(float(np.linalg.norm(r.w - dom.center)) - dom.radius) < 1e-12
+        for iv in dying:
+            retire(iv, t)
+    for iv in sorted(cohorts, key=lambda iv: (iv.end, iv.level)):
+        retire(iv, T)
+    return traj, log, evals, on_sphere
+
+
+def test_grid_learner_matches_a_per_row_reference_loop():
+    # a small off-centre disk, so the ONS A-norm projections and the
+    # Euclidean ones engage; trajectory, meta log and gradient count bit for bit
+    dom = ar.Domain.ball(np.array([0.1, -0.05]), 0.3)
+    events = make_absolute_stream(64, dom, target=(0.6, -0.4), noise=0.3, seed=5)
+    learner = ar.build_learner(_cfg("uma2-grid", dom, 64))
+    recs = ar.run(learner, events)
+    traj, log, evals, on_sphere = _grid_reference(dom, 1.0, events)
+    assert on_sphere > 1000
+    assert np.array_equal(np.stack([r.w for r in recs]), np.stack(traj))
+    assert [astuple(row) for row in learner.meta_log] == log
+    assert learner.grad_evals == evals == 64 + sum(r.live_experts for r in recs)
 
 
 def test_live_expert_counts_small_horizon(box1):
