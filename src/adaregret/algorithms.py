@@ -5,7 +5,8 @@ sleeping learners spawn a cohort of experts for each GC interval born at the
 current round, aggregate live expert points with a second-order meta, and
 retire cohorts when their interval ends. Gradient evaluations of the round's
 loss are counted; the surrogate, universal, and composite variants evaluate
-the gradient exactly once per round, at the aggregated point.
+the gradient exactly once per round, at the aggregated point; `uma2-grid`
+also evaluates it at every live expert row, in one call per round.
 """
 from __future__ import annotations
 
@@ -24,6 +25,7 @@ from .core import (
     Regularizer,
     UsageError,
     exp_concave_beta,
+    row_norms,
 )
 from .experts import (
     OGDStronglyConvex,
@@ -242,16 +244,20 @@ class _LearnerBase:
         self.max_fixed_point_residual = 0.0
         self.max_identity_gap = 0.0
 
-    def _grad(self, loss: LossSpec, w: Array) -> Array:
-        self.grad_evals += 1
-        g = loss.grad(w)
+    def _grad(self, loss: LossSpec, W: Array) -> Array:
+        """The gradients at the rows of W, one evaluation each, every row's
+        norm checked against G."""
+        self.grad_evals += W.shape[0]
+        grads = loss.grad_rows(W)
         if self.cfg.check_invariants:
-            norm = float(np.linalg.norm(g))
-            if norm > self.G * (1.0 + 1e-6) + 1e-12:
+            norms = row_norms(grads)
+            over = norms > self.G * (1.0 + 1e-6) + 1e-12
+            if over.any():
+                norm = float(norms[np.argmax(over)])
                 raise InvariantViolation(
                     "gradient-bound", f"||grad f|| = {norm:.6g} exceeds G = {self.G}"
                 )
-        return g
+        return grads
 
     def run_round(self, loss: LossSpec) -> RoundRecord:
         raise NotImplementedError
@@ -293,7 +299,9 @@ class _SleepingLearner(_LearnerBase):
         raise NotImplementedError
 
     # ----------------------------------------------------------------------
-    def _update_experts(self, loss: LossSpec, g: Array, w: Array, t: int) -> None:
+    def _update_experts(self, loss: LossSpec, g: Array, w: Array, pts: Array, t: int) -> None:
+        """Update every cohort after the meta took gradient g at w; pts are
+        the live expert rows w was aggregated from."""
         for cohort in self.cohorts.values():
             t_local = t - cohort.interval.start + 1
             for expert in cohort.experts:
@@ -307,7 +315,7 @@ class _SleepingLearner(_LearnerBase):
             experts = self._build(iv)
             tags = [tag for e in experts for tag in e.tags]
             gamma = gamma_for_end(iv.end)
-            self.slots.extend(MetaSlot(gamma=gamma, end=iv.end, born=t, tag=tag) for tag in tags)
+            self.slots.extend(MetaSlot(gamma=gamma, tag=tag) for tag in tags)
             self.cohorts[iv] = _Cohort(iv, experts, len(tags))
             self.created += len(tags)
 
@@ -315,9 +323,9 @@ class _SleepingLearner(_LearnerBase):
         live = len(self.slots)
         pts = np.concatenate([e.points() for c in self.cohorts.values() for e in c.experts])
         w = self.meta.point(self.slots, pts)
-        g = self._grad(loss, w)
+        g = self._grad(loss, w[None])[0]
         ell_meta = self.meta.update(g)
-        self._update_experts(loss, g, w, t)
+        self._update_experts(loss, g, w, pts, t)
 
         for iv in dying:
             self._retire(iv, s_eff=t)
@@ -385,32 +393,38 @@ class _SleepingLearner(_LearnerBase):
 
 
 class UMA2Grid(_SleepingLearner):
-    """Per interval: one convex OGD + ONS per modulus in the exp-concavity grid
-    + strongly convex OGD per modulus; each expert queries the gradient at its
-    own iterate (multi-gradient)."""
+    """Per interval: one convex OGD, then one ONS row per modulus in the
+    exp-concavity grid and one strongly convex OGD row per modulus, three
+    expert objects in all; every row takes the gradient at its own iterate
+    (multi-gradient), all rows of a round in one call."""
 
     def __init__(self, cfg: LearnerConfig):
         super().__init__(cfg)
-        self.moduli = rate_grid(cfg.horizon)
+        self.moduli = rate_grid(cfg.horizon).tolist()
+        self._curvatures = [exp_concave_beta(self.G, self.D, a) for a in self.moduli]
         # one tag string per modulus, not one per expert: the meta log keeps every tag
-        self._ons_tags = [f"ons[{float(a)!r}]" for a in self.moduli]
-        self._sc_tags = [f"ogd-sc[{float(lam)!r}]" for lam in self.moduli]
+        self._ons_tags = [f"ons[{a!r}]" for a in self.moduli]
+        self._sc_tags = [f"ogd-sc[{lam!r}]" for lam in self.moduli]
 
     def _build(self, interval: GCInterval) -> list[Any]:
         step = self.D / (self.G * math.sqrt(interval.length))
-        experts: list[Any] = [ProxGradExpert(self.domain, self.G, step)]
-        for a, tag in zip(self.moduli, self._ons_tags):
-            curv = exp_concave_beta(self.G, self.D, float(a))
-            experts.append(ONSExpert(self.domain, curv, tag=tag))
-        for lam, tag in zip(self.moduli, self._sc_tags):
-            experts.append(OGDStronglyConvex(self.domain, float(lam), tag=tag))
-        return experts
+        return [
+            ProxGradExpert(self.domain, self.G, step),
+            ONSExpert(self.domain, self._curvatures, self._ons_tags),
+            OGDStronglyConvex(self.domain, self.moduli, self._sc_tags),
+        ]
 
-    def _update_experts(self, loss: LossSpec, g: Array, w: Array, t: int) -> None:
+    def _update_experts(self, loss: LossSpec, g: Array, w: Array, pts: Array, t: int) -> None:
+        grads = self._grad(loss, pts)
+        k, start = len(self.moduli), 0
         for cohort in self.cohorts.values():
             t_local = t - cohort.interval.start + 1
-            for expert in cohort.experts:
-                expert.update(self._grad(loss, expert.point()), w, t_local)
+            rows = grads[start : start + cohort.size]
+            start += cohort.size
+            ogd, ons, sc = cohort.experts
+            ogd.update(rows[0], w, t_local)
+            ons.update(rows[1 : 1 + k], w, t_local)
+            sc.update(rows[1 + k :], w, t_local)
 
     def _created_bound(self, s: int) -> int:
         per = 3 + 2 * (math.ceil(math.log2(self.cfg.horizon)) if self.cfg.horizon > 1 else 0)
@@ -445,14 +459,11 @@ class _Ensemble:
         meta: MetaAggregator,
         tag: str,
         gamma: float,
-        end: int,
         log_x: float = 0.0,
     ):
         self.experts = experts
         self.slots = MetaSlots(
-            MetaSlot(gamma=gamma, end=end, born=1, tag=t, log_x=log_x)
-            for e in experts
-            for t in e.tags
+            MetaSlot(gamma=gamma, tag=t, log_x=log_x) for e in experts for t in e.tags
         )
         self.meta = meta
         self.tags = [tag]
@@ -482,7 +493,7 @@ class UniversalExpert(_Ensemble):
             ProxGradExpert(domain, G, domain.diameter / (G * math.sqrt(lifetime))),
         ]
         meta = MetaAggregator(domain, G)
-        super().__init__(experts, meta, "universal", gamma_for_end(lifetime), lifetime)
+        super().__init__(experts, meta, "universal", gamma_for_end(lifetime))
 
 
 class UMA3(_SleepingLearner):
@@ -520,7 +531,7 @@ class UMSCompCore(_Ensemble):
         ]
         n = 1 + len(experts[1].tags)
         meta = MetaAggregator(domain, G, reg, fp_tol, sink=sink)
-        super().__init__(experts, meta, "ums-comp", math.log(n), horizon, log_x=-math.log(n))
+        super().__init__(experts, meta, "ums-comp", math.log(n), log_x=-math.log(n))
 
 
 class UMSCompLearner(_LearnerBase):
@@ -535,7 +546,7 @@ class UMSCompLearner(_LearnerBase):
     def run_round(self, loss: LossSpec) -> RoundRecord:
         self.t += 1
         w = self.core.point()
-        self.core.update(self._grad(loss, w), w, self.t)
+        self.core.update(self._grad(loss, w[None])[0], w, self.t)
         return RoundRecord(
             t=self.t,
             w=w,
@@ -581,7 +592,7 @@ class BaselineLearner(_LearnerBase):
     def run_round(self, loss: LossSpec) -> RoundRecord:
         self.t += 1
         w = self.expert.point()
-        self.expert.update(self._grad(loss, w), w, self.t)
+        self.expert.update(self._grad(loss, w[None])[0], w, self.t)
         return RoundRecord(
             t=self.t, w=w, live_experts=1, alive_intervals=1, grad_evals=self.grad_evals
         )

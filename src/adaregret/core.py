@@ -56,6 +56,12 @@ def row_dots(X: Array, Y: Array) -> Array:
     return (X[:, None, :] @ (Y[:, None] if Y.ndim == 1 else Y[:, :, None]))[:, 0, 0]
 
 
+def row_norms(X: Array) -> Array:
+    """||x_i|| for every row x_i of X, with np.linalg.norm's bits (the square
+    root of np.dot(x, x))."""
+    return np.sqrt(row_dots(X, X))
+
+
 # ---------------------------------------------------------------------------
 # Domains
 
@@ -141,7 +147,7 @@ class Domain:
         if self.kind == "box":
             return np.clip(X, self.lower, self.upper)
         delta = X - self.center_
-        norm = np.sqrt(row_dots(delta, delta))
+        norm = row_norms(delta)
         out = X.copy()
         far = norm > self.radius
         out[far] = self.center_ + delta[far] * (self.radius / norm[far])[:, None]
@@ -156,8 +162,7 @@ class Domain:
     def contains_rows(self, X: Array, tol: float = 1e-9) -> Array:
         """`contains` for every row of the n x d array X, as a boolean n-vector."""
         if self.kind == "ball":
-            delta = X - self.center_
-            return np.sqrt(row_dots(delta, delta)) <= self.radius + tol
+            return row_norms(X - self.center_) <= self.radius + tol
         return ((X >= self.lower - tol) & (X <= self.upper + tol)).all(axis=1)
 
     def max_norm(self) -> float:
@@ -302,20 +307,25 @@ class LossSpec:
         return float(np.logaddexp(0.0, margin))
 
     def grad(self, w: Any) -> Array:
-        v = as_vector(w)
+        return self.grad_rows(as_vector(w)[None])[0]
+
+    def grad_rows(self, W: Array) -> Array:
+        """The gradient at every row w_i of the n x d array W; each row has
+        the bits of a one-vector evaluation (`row_dots` sums as np.dot)."""
         p = self.params
         if self.family == "linear":
-            return np.array(p["g"], dtype=float)
-        if self.family == "absolute":
-            s = float(np.sign(np.dot(p["x"], v) - p["y"]))
-            return s * p["x"]
+            return np.tile(np.asarray(p["g"], dtype=float), (W.shape[0], 1))
         if self.family == "quadratic":
-            return p["lam"] * (v - p["u"]) + p["b"]
-        if self.family == "squared-prediction":
-            return 2.0 * (float(np.dot(p["x"], v)) - p["y"]) * p["x"]
-        margin = -p["y"] * float(np.dot(p["x"], v))
-        sigma = 1.0 / (1.0 + np.exp(-margin))
-        return (-p["y"] * sigma) * p["x"]
+            return p["lam"] * (W - p["u"]) + p["b"]
+        x = np.asarray(p["x"], dtype=float)
+        if self.family == "absolute":
+            scale = np.sign(row_dots(W, x) - p["y"])
+        elif self.family == "squared-prediction":
+            scale = 2.0 * (row_dots(W, x) - p["y"])
+        else:
+            margin = -p["y"] * row_dots(W, x)
+            scale = -p["y"] * (1.0 / (1.0 + np.exp(-margin)))
+        return scale[:, None] * x
 
 
 def exp_concave_beta(G: float, D: float, alpha: float) -> float:

@@ -1,12 +1,13 @@
 """Per-interval expert algorithms and the surrogate-loss toolkit.
 
 Experts expose their iterates as a stack, `points()` (one row per expert;
-single experts also `point()`), their meta.csv `tags`, and one update,
+one-row experts also `point()`), their meta.csv `tags`, and one update,
 `update(g, anchor, t_local)`, driven by the current round's gradient
 information. Surrogate experts never evaluate the original loss themselves:
 they consume the shared gradient g_t evaluated at the aggregated point w_t and
 the anchor w_t itself; one `SurrogateStack` holds every surrogate expert of a
-learning-rate grid.
+learning-rate grid. `ONSExpert` and `OGDStronglyConvex` hold one row per
+curvature or modulus, and take one gradient per row or one shared by all.
 """
 from __future__ import annotations
 
@@ -198,7 +199,7 @@ def prox_quadratic_argmin(
     with the step 1/(curvature * lambda_max(A)).
     """
     if reg is None or reg.is_zero:
-        return a_norm_project(domain, A, w_ref - np.linalg.solve(A, lin) / curvature)
+        return newton_step_rows(domain, A[None], w_ref[None], lin[None], np.array([curvature]))[0]
     if A.shape[0] == 1:
         a = float(A[0, 0])
         z0 = w_ref - lin / (curvature * a)
@@ -209,32 +210,65 @@ def prox_quadratic_argmin(
     )
 
 
+def newton_step_rows(domain: Domain, A: Array, W: Array, gs: Array, beta: Array) -> Array:
+    """The online Newton step of every row (Hazan, Agarwal & Kale 2007): the
+    A_i-norm projection of the Newton target w_i - A_i^{-1} gs_i / beta_i, that
+    is the minimizer of the quadratic model with no regularizer.
+
+    One batched solve gives every target; only infeasible ones are projected,
+    by `a_norm_project` at d >= 2 and in closed form at d == 1.
+    """
+    if domain.dim > 1:
+        target = W - np.linalg.solve(A, gs[:, :, None])[:, :, 0] / beta[:, None]
+        for i in np.flatnonzero(~domain.contains_rows(target)):
+            target[i] = a_norm_project(domain, A[i], target[i])
+        return target
+    # d = 1: a 1 x 1 solve is g / a, and the A-norm projection of an
+    # infeasible target is proximal_gradient's first step from the Euclidean
+    # projection, after which it stops (the step ends outside the interval,
+    # on the target's side, so it projects back within round-off of where it
+    # started)
+    a = A[:, 0]
+    target = W - gs / a / beta[:, None]
+    feasible = domain.contains_rows(target)
+    if feasible.all():
+        return target
+    z = domain.project_rows(target)
+    z = domain.project_rows(z - (1.0 / a) * (a * (z - target)))
+    return np.where(feasible[:, None], target, z)
+
+
 # ---------------------------------------------------------------------------
 # Expert state machines
 
 
 class BaseExpert:
-    """A single expert: `point()` is its iterate, `points()` the same as a
-    one-row stack. `update(g, anchor, t_local)` takes the round's gradient,
-    the point it was evaluated at (the surrogate experts linearize around
-    it) and the round index within the expert's lifetime; each expert reads
-    only the arguments its recursion uses."""
+    """k expert rows over one domain: `points()` is the k x d stack of
+    iterates, all starting at the domain's centre, `tags` has one meta.csv tag
+    per row, and `point()` is a one-row expert's iterate. `update(g, anchor,
+    t_local)` takes the round's gradient, the point it was evaluated at (the
+    surrogate experts linearize around it) and the round index within the
+    expert's lifetime; each expert reads only the arguments its recursion
+    uses. An update replaces W, so a row read before it keeps its values."""
 
-    tag: str = ""
-
-    def __init__(self, domain: Domain):
+    def __init__(self, domain: Domain, tags: list[str]):
         self.domain = domain
-        self.w: Array = domain.project(domain.center)
+        self.tags = tags
+        self.W = np.empty((len(tags), domain.dim))
+        self.W[:] = domain.project(domain.center)
 
     def point(self) -> Array:
-        return self.w
+        return self.W[0]
 
     def points(self) -> Array:
-        return self.w[None]
+        return self.W
 
-    @property
-    def tags(self) -> list[str]:
-        return [self.tag]
+
+def _positive(values, what: str) -> list[float]:
+    out = np.atleast_1d(np.asarray(values, dtype=float)).tolist()
+    if min(out) <= 0:
+        raise InputError(f"{what} must be positive")
+    return out
 
 
 class ProxGradExpert(BaseExpert):
@@ -252,51 +286,51 @@ class ProxGradExpert(BaseExpert):
         reg: Regularizer | None = None,
         tag: str = "ogd",
     ):
-        super().__init__(domain)
+        super().__init__(domain, [tag])
         self.base = domain.diameter / G
         self.step = step
         self.reg = reg
-        self.tag = tag
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
         eta_t = self.base / math.sqrt(t_local) if self.step is None else self.step
-        self.w = prox_onto(self.domain, self.reg, self.w - eta_t * g, eta_t)
+        self.W = prox_onto(self.domain, self.reg, self.W[0] - eta_t * g, eta_t)[None]
 
 
 class OGDStronglyConvex(BaseExpert):
-    """Gradient descent with steps 1/(modulus * t) for strongly convex losses."""
+    """Gradient descent with steps 1/(lambda_i t) for strongly convex losses,
+    one row per modulus lambda_i (tags `ogd-sc[lambda]`); `g` is one gradient
+    per row or one shared by all. A scalar modulus is a one-row expert."""
 
-    def __init__(self, domain: Domain, modulus: float, tag: str = ""):
-        super().__init__(domain)
-        if modulus <= 0:
-            raise InputError("strong-convexity modulus must be positive")
-        self.modulus = modulus
-        self.tag = tag or f"ogd-sc[{modulus!r}]"
+    def __init__(self, domain: Domain, moduli, tags: list[str] | None = None):
+        moduli = _positive(moduli, "strong-convexity modulus")
+        super().__init__(domain, tags or [f"ogd-sc[{lam!r}]" for lam in moduli])
+        self.moduli = np.array(moduli)
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
-        self.w = self.domain.project(self.w - g / (self.modulus * t_local))
+        self.W = self.domain.project_rows(self.W - g / (self.moduli * t_local)[:, None])
 
 
 class ONSExpert(BaseExpert):
-    """Online Newton step on the raw gradient: A accumulates gg^T and w <- the
-    A-norm projection of the Newton target w - A^{-1} g / curvature, that is
-    prox_quadratic_argmin with no regularizer (tag `ons[curvature]`)."""
+    """Online Newton steps on the raw gradient, one row per curvature beta_i
+    (tags `ons[beta]`): A_i accumulates g_i g_i^T and w_i becomes the A_i-norm
+    projection of the Newton target w_i - A_i^{-1} g_i / beta_i
+    (`newton_step_rows`). `g` is one gradient per row or one shared by all;
+    a scalar curvature is a one-row expert."""
 
-    def __init__(self, domain: Domain, curvature: float, tag: str = ""):
-        super().__init__(domain)
-        if curvature <= 0:
-            raise InputError("ONS curvature must be positive")
-        self.curvature = curvature
-        eps = 1.0 / (curvature**2 * domain.diameter**2)
-        self.A = eps * np.eye(domain.dim)
-        self.tag = tag or f"ons[{curvature!r}]"
+    def __init__(self, domain: Domain, curvatures, tags: list[str] | None = None):
+        curvatures = _positive(curvatures, "ONS curvature")
+        super().__init__(domain, tags or [f"ons[{beta!r}]" for beta in curvatures])
+        self.beta = np.array(curvatures)
+        eps = [1.0 / (beta**2 * domain.diameter**2) for beta in curvatures]
+        self.A = np.array(eps)[:, None, None] * np.eye(domain.dim)
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
-        self.A += np.outer(g, g)
-        self.w = prox_quadratic_argmin(self.domain, self.A, self.curvature, self.w, g, None, 0.0)
+        g = np.broadcast_to(g, self.W.shape)
+        self.A += g[:, :, None] * g[:, None, :]
+        self.W = newton_step_rows(self.domain, self.A, self.W, g, self.beta)
 
 
-class SurrogateStack:
+class SurrogateStack(BaseExpert):
     """Every surrogate expert of one learning-rate grid, as arrays.
 
     Per eta_i in `etas`, row 2i of `points()` is online Newton steps on the
@@ -313,21 +347,18 @@ class SurrogateStack:
 
     def __init__(self, domain: Domain, G: float, etas, reg: Regularizer | None = None):
         etas = [float(eta) for eta in etas]
-        self.domain = domain
+        ons, sc = ("sur-exp", "sur-sc") if reg is None else ("prox-ons", "comp-sc")
+        super().__init__(
+            domain, [tag for eta in etas for tag in (f"{ons}[{eta!r}]", f"{sc}[{eta!r}]")]
+        )
         self.reg = reg
         self.eta = np.array(etas)
-        self.W = np.empty((2 * len(etas), domain.dim))
-        self.W[:] = domain.project(domain.center)
         eps = 1.0 / (SURROGATE_GAMMA**2 * domain.diameter**2)
         self.A = np.empty((len(etas), domain.dim, domain.dim))
         self.A[:] = eps * np.eye(domain.dim)
+        self._beta = np.full(len(etas), SURROGATE_GAMMA)
         self._sc_curvature = 2.0 * self.eta * self.eta * G * G
         self._sc_rate = np.array([2.0 * eta**2 * G**2 for eta in etas])
-        ons, sc = ("sur-exp", "sur-sc") if reg is None else ("prox-ons", "comp-sc")
-        self.tags = [tag for eta in etas for tag in (f"{ons}[{eta!r}]", f"{sc}[{eta!r}]")]
-
-    def points(self) -> Array:
-        return self.W
 
     def update(self, g: Array, anchor: Array, t_local: int) -> None:
         eta, ons, sc = self.eta, self.W[0::2], self.W[1::2]
@@ -345,32 +376,15 @@ class SurrogateStack:
     def _newton_step(self, w: Array, gs: Array) -> Array:
         """prox_quadratic_argmin(domain, A_i, SURROGATE_GAMMA, w_i, gs_i, reg, eta_i) per row."""
         dom, reg, A, beta = self.domain, self.reg, self.A, SURROGATE_GAMMA
-        if reg is not None and not reg.is_zero:
-            if dom.dim == 1:
-                a = A[:, 0, 0]
-                z = reg.prox_rows(w - gs / (beta * a)[:, None], self.eta / (beta * a))
-                return dom.project_rows(z)
-            return np.stack(
-                [
-                    prox_quadratic_argmin(dom, A[i], beta, w[i], gs[i], reg, eta)
-                    for i, eta in enumerate(self.eta.tolist())
-                ]
-            )
-        if dom.dim > 1:
-            target = w - np.linalg.solve(A, gs[:, :, None])[:, :, 0] / beta
-            for i in np.flatnonzero(~dom.contains_rows(target)):
-                target[i] = a_norm_project(dom, A[i], target[i])
-            return target
-        # d = 1: a 1 x 1 solve is g / a, and the A-norm projection of an
-        # infeasible target is proximal_gradient's first step from the
-        # Euclidean projection, after which it stops (the step ends outside
-        # the interval, on the target's side, so it projects back within
-        # round-off of where it started)
-        a = A[:, 0]
-        target = w - gs / a / beta
-        feasible = dom.contains_rows(target)
-        if feasible.all():
-            return target
-        z = dom.project_rows(target)
-        z = dom.project_rows(z - (1.0 / a) * (a * (z - target)))
-        return np.where(feasible[:, None], target, z)
+        if reg is None or reg.is_zero:
+            return newton_step_rows(dom, A, w, gs, self._beta)
+        if dom.dim == 1:
+            a = A[:, 0, 0]
+            z = reg.prox_rows(w - gs / (beta * a)[:, None], self.eta / (beta * a))
+            return dom.project_rows(z)
+        return np.stack(
+            [
+                prox_quadratic_argmin(dom, A[i], beta, w[i], gs[i], reg, eta)
+                for i, eta in enumerate(self.eta.tolist())
+            ]
+        )

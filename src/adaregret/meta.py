@@ -32,8 +32,6 @@ class MetaSlot:
     """Meta-state for one expert over one lifetime."""
 
     gamma: float
-    end: int
-    born: int
     tag: str = ""
     log_x: float = 0.0
     sq_dev: float = 0.0  # V: running sum of squared (deviation) losses

@@ -142,7 +142,7 @@ def test_criterion_02_meta_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
 
-    records = [ar.MetaSlot(gamma=ar.gamma_for_end(e), end=e, born=1, tag=f"s{e}") for e in (4, 16, 64, 256)]
+    records = [ar.MetaSlot(gamma=ar.gamma_for_end(e), tag=f"s{e}") for e in (4, 16, 64, 256)]
     oracle = _PlainOracle()
     for s in records:
         oracle.add(s.gamma)
@@ -150,7 +150,7 @@ def test_criterion_02_meta_oracle_equivalence():
     for t in range(1, 1001):
         if rng.uniform() < 0.05:
             end = int(rng.integers(t, 4 * t + 4))
-            slots.extend([ar.MetaSlot(gamma=ar.gamma_for_end(end), end=end, born=t, tag=f"b{t}")])
+            slots.extend([ar.MetaSlot(gamma=ar.gamma_for_end(end), tag=f"b{t}")])
             oracle.add(slots.gamma[-1])
         elif len(slots) > 2 and rng.uniform() < 0.03:
             k = int(rng.integers(0, len(slots)))
@@ -164,7 +164,7 @@ def test_criterion_02_meta_oracle_equivalence():
         ar.amlp_update(slots, ell_meta, ells)
         oracle.update(ell_meta, ells)
 
-    records = [ar.MetaSlot(gamma=math.log(5.0), end=1000, born=1, tag=f"o{i}", log_x=-math.log(5.0)) for i in range(5)]
+    records = [ar.MetaSlot(gamma=math.log(5.0), tag=f"o{i}", log_x=-math.log(5.0)) for i in range(5)]
     opt = _OptimisticOracle()
     for s in records:
         opt.add(s.gamma)

@@ -8,7 +8,7 @@ import pytest
 
 import adaregret as ar
 from tests.conftest import make_absolute_stream
-from tests.test_experts import _ons, _prox_grad, _Recursion
+from tests.test_experts import _ogd_sc, _ons, _prox_grad, _Recursion
 
 
 def _zero_stream(horizon, dim):
@@ -111,13 +111,6 @@ def test_grid_learner_uses_many_gradients(box1):
     assert learner.grad_evals == 20 + sum(r.live_experts for r in recs)
 
 
-def _ogd_sc(lam):
-    def step(r, g, anchor, t):
-        r.w = r.dom.project(r.w - g / (lam * t))
-
-    return step
-
-
 def _grid_reference(dom, G, events):
     """[DERIVED] uma2-grid written out one expert row at a time: per GC
     interval a fixed-step OGD, then ONS per modulus, then strongly convex OGD
@@ -154,7 +147,7 @@ def _grid_reference(dom, G, events):
             rows += [_Recursion(dom, _ons(beta), curvature=beta) for beta in betas]
             rows += [_Recursion(dom, _ogd_sc(lam)) for lam in moduli]
             gamma = ar.gamma_for_end(iv.end)
-            slots.extend(ar.MetaSlot(gamma=gamma, end=iv.end, born=t, tag=tag) for tag in tags)
+            slots.extend(ar.MetaSlot(gamma=gamma, tag=tag) for tag in tags)
             cohorts[iv] = rows
             created += len(rows)
         w = meta.point(slots, np.stack([r.w for rows in cohorts.values() for r in rows]))
@@ -296,7 +289,7 @@ def test_universal_expert_usage_errors(box1):
     with pytest.raises(ar.UsageError):
         exp.point()
     meta = ar.algorithms.MetaAggregator(box1, 1.0)
-    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in range(2)])
+    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0) for _ in range(2)])
     with pytest.raises(ar.UsageError):
         meta.update(np.zeros(1))
     meta.point(slots, np.zeros((2, 1)))
@@ -314,7 +307,7 @@ def test_aggregator_checks_run_where_enabled(box1, check):
     reg = ar.Regularizer("l1", 0.1)
     for kind, name in ((None, "meta-loss-center"), (reg, "composite-deviation-identity")):
         meta = ar.algorithms.MetaAggregator(box1, 1.0, kind, fp_tol=1e-3, check=check)
-        meta.point(ar.MetaSlots([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in pts]), pts)
+        meta.point(ar.MetaSlots([ar.MetaSlot(gamma=1.0) for _ in pts]), pts)
         if kind is None:
             meta.w = meta.w + 0.5  # not the weighted average: meta loss 3/8
         else:
@@ -341,7 +334,7 @@ class _SkewedPoints(np.ndarray):
 
 def test_aggregation_check_rejects_a_played_point_off_the_average(box1):
     pts = np.array([[-0.5], [0.5]])
-    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in pts])
+    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0) for _ in pts])
     ar.algorithms.MetaAggregator(box1, 1.0, check=True).point(slots, pts)
     meta = ar.algorithms.MetaAggregator(box1, 1.0, check=True)
     with pytest.raises(ar.InvariantViolation) as exc:
@@ -354,7 +347,7 @@ def test_aggregation_check_rejects_a_played_point_off_the_average(box1):
 
 def test_weight_simplex_check_rejects_weights_off_the_simplex(box1, monkeypatch):
     pts = np.array([[-0.5], [0.5]])
-    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0, end=8, born=1) for _ in pts])
+    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0) for _ in pts])
 
     def off_simplex(slots):
         return np.full(len(slots), 0.5 + 1e-9)
@@ -377,9 +370,28 @@ def test_invariant_checks_can_be_disabled(box1):
     )
 
 
-def test_gradient_bound_invariant_trips(box1):
-    big = [ar.LossSpec("linear", {"g": np.array([5.0])}, gradient_bound=5.0)]
-    learner = ar.build_learner(_cfg("baseline-ogd", box1, 1))
+class _LastRowOverG(ar.LossSpec):
+    """A planted fault: a linear loss within G whose gradient at the last row
+    of a stack of two or more points is scaled past G; one point (the played
+    point's evaluation) stays within it."""
+
+    def grad_rows(self, W):
+        grads = super().grad_rows(W)
+        if W.shape[0] > 1:
+            grads[-1] *= 5.0
+        return grads
+
+
+@pytest.mark.parametrize("algo", ["baseline-ogd", "uma2-grid"])
+def test_gradient_bound_invariant_trips(algo, box1):
+    if algo == "baseline-ogd":
+        big = [ar.LossSpec("linear", {"g": np.array([5.0])}, gradient_bound=5.0)]
+    else:  # only an expert row's gradient exceeds G
+        big = [_LastRowOverG("linear", {"g": np.array([0.5])}, gradient_bound=1.0)]
+    learner = ar.build_learner(_cfg(algo, box1, 1))
     with pytest.raises(ar.InvariantViolation) as exc:
         ar.run(learner, big)
     assert exc.value.name == "gradient-bound"
+    if algo == "uma2-grid":
+        # the played point's gradient passed; the 3 expert rows were evaluated
+        assert learner.grad_evals == 1 + 3 and "2.5 exceeds G = 1.0" in str(exc.value)

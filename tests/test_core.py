@@ -102,6 +102,49 @@ def test_row_maps_match_per_row_calls(d):
         assert np.array_equal(reg.value_rows(X), [reg.value(x) for x in X])
 
 
+def _one_vector_grad(loss, v):
+    # [DERIVED] the one-vector gradient that LossSpec.grad computed before it
+    # became a one-row call of grad_rows, transcribed
+    p = loss.params
+    if loss.family == "linear":
+        return np.array(p["g"], dtype=float)
+    if loss.family == "absolute":
+        return float(np.sign(np.dot(p["x"], v) - p["y"])) * p["x"]
+    if loss.family == "quadratic":
+        return p["lam"] * (v - p["u"]) + p["b"]
+    if loss.family == "squared-prediction":
+        return 2.0 * (float(np.dot(p["x"], v)) - p["y"]) * p["x"]
+    margin = -p["y"] * float(np.dot(p["x"], v))
+    return (-p["y"] * (1.0 / (1.0 + np.exp(-margin)))) * p["x"]
+
+
+def _random_loss(rng, family, d):
+    x = rng.normal(size=d) * 10.0 ** rng.uniform(-1, 1)
+    if family == "linear":
+        return ar.LossSpec("linear", {"g": rng.normal(size=d)})
+    if family == "quadratic":
+        params = {"u": rng.normal(size=d), "lam": float(rng.uniform(0.1, 3.0)), "b": rng.normal(size=d)}
+        return ar.LossSpec("quadratic", params)
+    y = float(rng.choice([-1.0, 1.0])) if family == "log-like" else float(rng.normal())
+    return ar.LossSpec(family, {"x": x, "y": y})
+
+
+@pytest.mark.parametrize("family", ar.core.LOSS_FAMILIES)
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_row_gradients_match_one_vector_gradients(family, d):
+    # grad_rows returns, row for row, the bits of the one-vector gradient, and
+    # row_norms (the gradient-bound check's norm) those of np.linalg.norm
+    rng = np.random.default_rng(10 * d + len(family))
+    for _ in range(40):
+        loss = _random_loss(rng, family, d)
+        W = rng.normal(size=(30, d)) * 10.0 ** rng.uniform(-2, 1, size=(30, 1))
+        got = loss.grad_rows(W)
+        want = np.stack([_one_vector_grad(loss, w) for w in W])
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.stack([loss.grad(w) for w in W]), want)
+        assert np.array_equal(ar.core.row_norms(got), [np.linalg.norm(g) for g in want])
+
+
 # ---------------------------------------------------------------------------
 # Regularizers
 

@@ -40,7 +40,7 @@ def test_ogd_diminishing_steps(box1):
 
 def test_ogd_strongly_convex_steps(box1):
     lam = 0.5
-    exp = ar.OGDStronglyConvex(box1, modulus=lam)
+    exp = ar.OGDStronglyConvex(box1, moduli=lam)
     w = 0.0
     for t in range(1, 6):
         g = 0.3
@@ -52,14 +52,14 @@ def test_ogd_strongly_convex_steps(box1):
 def test_ons_hand_example(box1):
     # [DERIVED] eps = 1/(gamma^2 D^2) = 16; A after one step = 17;
     # w1 = 0 - (1/17)/0.125 = -8/17, feasible so projection is identity.
-    ons = ar.ONSExpert(box1, curvature=0.125)
+    ons = ar.ONSExpert(box1, curvatures=0.125)
     ons.update(np.array([1.0]), ons.point(), 1)
     assert ons.point() == pytest.approx([-8.0 / 17.0], abs=1e-12)
 
 
 def test_ons_projection_engages(rng):
     dom = ar.Domain.ball(np.zeros(2), 0.25)
-    ons = ar.ONSExpert(dom, curvature=0.5)
+    ons = ar.ONSExpert(dom, curvatures=0.5)
     for _ in range(20):
         g = rng.uniform(-1, 1, size=2)
         ons.update(g, ons.point(), 1)
@@ -373,7 +373,7 @@ def test_fobos_step_matches_grid_oracle(rng, box1):
         g = float(rng.uniform(-1, 1))
         step = float(rng.uniform(0.05, 0.8))
         exp = ar.ProxGradExpert(box1, G=1.0, step=step, reg=reg)
-        exp.w = np.array([w0])
+        exp.W[0] = w0
         exp.update(np.array([g]), exp.point(), t_local=1)
         # [DERIVED] grid oracle of the proximal objective followed by the
         # domain constraint (exact composition in one dimension)
@@ -433,7 +433,7 @@ def test_composite_step_on_off_centre_ball_matches_slsqp(expert, d, reg_kind):
             exp = ar.ProxGradExpert(dom, G=1.0, step=step, reg=reg, tag="fobos")
             anchor = w0
             x, scale = w0 - step * g, step
-            exp.w = w0
+            exp.W[0] = w0
         else:
             eta = 1.0 / (5.0 * dom.diameter)
             exp = ar.SurrogateStack(dom, G=1.0, etas=[eta], reg=reg)  # row 1: comp-sc[eta]
@@ -501,12 +501,12 @@ def test_expert_tags_distinct(box1):
     reg = ar.Regularizer("l1", 0.1)
     # the nine experts as the learners build them; meta.csv prints these tags
     tags = {
-        ar.ProxGradExpert(box1, 1.0, step=0.5).tag,
-        ar.ProxGradExpert(box1, 1.0, tag="ogd-dim").tag,
-        ar.OGDStronglyConvex(box1, 0.5).tag,
-        ar.ONSExpert(box1, 0.25).tag,
+        *ar.ProxGradExpert(box1, 1.0, step=0.5).tags,
+        *ar.ProxGradExpert(box1, 1.0, tag="ogd-dim").tags,
+        *ar.OGDStronglyConvex(box1, 0.5).tags,
+        *ar.ONSExpert(box1, 0.25).tags,
         *ar.SurrogateStack(box1, 1.0, [0.1]).tags,  # sur-exp, sur-sc
-        ar.ProxGradExpert(box1, 1.0, step=0.1, reg=reg, tag="fobos").tag,
+        *ar.ProxGradExpert(box1, 1.0, step=0.1, reg=reg, tag="fobos").tags,
         *ar.SurrogateStack(box1, 1.0, [0.1], reg).tags,  # prox-ons, comp-sc
     }
     assert len(tags) == 9
@@ -561,6 +561,14 @@ def _ons(curvature, eta=None):
     return step
 
 
+def _ogd_sc(lam):
+    # g / (lam t), which differs in the last bit from (1 / (lam t)) * g
+    def step(r, g, anchor, t):
+        r.w = r.dom.project(r.w - g / (lam * t))
+
+    return step
+
+
 def _prox_ons(reg, eta):
     def step(r, g, anchor, t):
         _, gs = ar.surrogate_exp_eval(eta, g, anchor, r.w)
@@ -591,6 +599,52 @@ class _StackRow:
 
     def update(self, g, anchor, t):
         self.stack.update(g, anchor, t)
+
+
+class _RefRows:
+    """k references side by side, updated like a k-row expert: `g` is one
+    gradient shared by every row or one per row."""
+
+    def __init__(self, refs):
+        self.refs = refs
+
+    def points(self):
+        return np.stack([r.point() for r in self.refs])
+
+    def update(self, g, anchor, t):
+        for r, g_row in zip(self.refs, np.broadcast_to(g, (len(self.refs), g.shape[-1]))):
+            r.update(g_row, anchor, t)
+
+
+class _Rows:
+    """A k-row expert (or a _RefRows) as one expert whose point is its k x d
+    stack. With `per_row`, row i takes its own gradient, the round's g with
+    its coordinates rolled by i, instead of the shared g."""
+
+    def __init__(self, rows, per_row):
+        self.rows, self.per_row = rows, per_row
+
+    def point(self):
+        return self.rows.points()
+
+    def update(self, g, anchor, t):
+        if self.per_row:
+            g = np.stack([np.roll(g, i) for i in range(len(self.rows.points()))])
+        self.rows.update(g, anchor, t)
+
+
+def _rows_case(expert, refs, per_row):
+    return lambda d: (_Rows(expert(d), per_row), _Rows(_RefRows(refs(d)), per_row))
+
+
+_TWO_ONS = (
+    lambda d: ar.ONSExpert(d, [0.25, 0.8]),
+    lambda d: [_Recursion(d, _ons(c), curvature=c) for c in (0.25, 0.8)],
+)
+_TWO_OGD_SC = (
+    lambda d: ar.OGDStronglyConvex(d, [0.5, 2.0]),
+    lambda d: [_Recursion(d, _ogd_sc(lam)) for lam in (0.5, 2.0)],
+)
 
 
 class _EnsembleLoop:
@@ -648,12 +702,14 @@ _PROTOCOL_CASES = {
         ar.ProxGradExpert(d, _G, reg=_ZERO),
         _Recursion(d, _prox_grad(lambda t: d.diameter / _G / math.sqrt(t), _ZERO)),
     ),
-    # g / (lam t), which differs in the last bit from (1 / (lam t)) * g
-    "ogd-sc": lambda d: (
-        ar.OGDStronglyConvex(d, 0.5),
-        _Recursion(d, lambda r, g, anchor, t: setattr(r, "w", d.project(r.w - g / (0.5 * t)))),
-    ),
+    "ogd-sc": lambda d: (ar.OGDStronglyConvex(d, 0.5), _Recursion(d, _ogd_sc(0.5))),
     "ons": lambda d: (ar.ONSExpert(d, 0.25), _Recursion(d, _ons(0.25), curvature=0.25)),
+    # two-row experts, each row against its own recursion, with one shared
+    # gradient and with one gradient per row
+    "ons-2": _rows_case(*_TWO_ONS, per_row=False),
+    "ons-2-per-row": _rows_case(*_TWO_ONS, per_row=True),
+    "ogd-sc-2": _rows_case(*_TWO_OGD_SC, per_row=False),
+    "ogd-sc-2-per-row": _rows_case(*_TWO_OGD_SC, per_row=True),
     "sur-exp": lambda d: (
         _StackRow(ar.SurrogateStack(d, _G, [0.1]), 0),
         _Recursion(d, _ons(ar.SURROGATE_GAMMA, eta=0.1), curvature=ar.SURROGATE_GAMMA),
@@ -749,9 +805,13 @@ class _SurExpRef:
     def update(self, g, anchor, t_local):
         _, g = ar.surrogate_exp_eval(self.eta, g, anchor, self.w)
         self.A += np.outer(g, g)
-        self.w = prox_quadratic_argmin(
-            self.domain, self.A, self.curvature, self.w, g, self.reg, self.eta
-        )
+        if self.reg is None or self.reg.is_zero:
+            target = self.w - np.linalg.solve(self.A, g) / self.curvature
+            self.w = a_norm_project(self.domain, self.A, target)
+        else:
+            self.w = prox_quadratic_argmin(
+                self.domain, self.A, self.curvature, self.w, g, self.reg, self.eta
+            )
 
 
 class _SurScRef:
@@ -828,6 +888,6 @@ def test_one_dim_newton_rows_match_the_a_norm_projection(kind):
         targets = dom.center + sides * r * (1.0 + 10.0 ** rng.uniform(-8.0, 1.0, size=(3, 1)))
         gs = (w - targets) * stack.A[:, 0] * beta
         want = np.stack(
-            [prox_quadratic_argmin(dom, stack.A[i], beta, w[i], gs[i], None, 0.0) for i in range(3)]
+            [a_norm_project(dom, A, x - np.linalg.solve(A, g) / beta) for A, x, g in zip(stack.A, w, gs)]
         )
         assert np.array_equal(stack._newton_step(w, gs), want)

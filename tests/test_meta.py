@@ -11,7 +11,7 @@ from adaregret.meta import OPTIMISTIC_CAP, PLAIN_CAP, MetaSlot
 
 def _fresh_slots(n, end=1000):
     return ar.MetaSlots(
-        ar.MetaSlot(gamma=ar.gamma_for_end(end), end=end, born=1, tag=f"e{i}")
+        ar.MetaSlot(gamma=ar.gamma_for_end(end), tag=f"e{i}")
         for i in range(n)
     )
 
@@ -107,8 +107,6 @@ def test_weights_simplex_under_births_and_deaths():
                 [
                     MetaSlot(
                         gamma=ar.gamma_for_end(int(rng.integers(1, 10_000))),
-                        end=0,
-                        born=t,
                         tag=f"b{counter}",
                     )
                 ]
@@ -132,7 +130,7 @@ def test_gamma_for_end_values():
 
 
 def test_delta_capped():
-    slot = MetaSlot(gamma=2.0, end=5, born=1)
+    slot = MetaSlot(gamma=2.0)
     assert slot.delta(PLAIN_CAP) == 0.5  # sqrt(2) > cap
     assert slot.delta(OPTIMISTIC_CAP) == 0.25
     slot.sq_dev = 1e6
@@ -332,7 +330,7 @@ def test_meta_slots_match_per_slot_loops(d, optimistic):
             end = int(rng.integers(t, 4 * t + 4))
             log_x = -math.log(5.0) if optimistic else 0.0
             block = [
-                MetaSlot(ar.gamma_for_end(end), end, t, f"c{counter}-{i}", log_x)
+                MetaSlot(ar.gamma_for_end(end), f"c{counter}-{i}", log_x)
                 for i in range(int(rng.integers(1, 8)))
             ]
             counter += 1
@@ -375,8 +373,6 @@ def test_meta_weights_match_per_slot_loops_on_random_states():
     records = [
         MetaSlot(
             gamma=float(rng.uniform(0.01, 20.0)),
-            end=0,
-            born=0,
             tag=f"s{i}",
             log_x=float(rng.uniform(-3.0, 3.0)),
             sq_dev=float(10.0 ** rng.uniform(-2, 4)),
