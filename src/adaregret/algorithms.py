@@ -250,10 +250,8 @@ class _LearnerBase:
         self.grad_evals += W.shape[0]
         grads = loss.grad_rows(W)
         if self.cfg.check_invariants:
-            norms = row_norms(grads)
-            over = norms > self.G * (1.0 + 1e-6) + 1e-12
-            if over.any():
-                norm = float(norms[np.argmax(over)])
+            norm = float(row_norms(grads).max())
+            if norm > self.G * (1.0 + 1e-6) + 1e-12:
                 raise InvariantViolation(
                     "gradient-bound", f"||grad f|| = {norm:.6g} exceeds G = {self.G}"
                 )

@@ -193,10 +193,11 @@ def prox_quadratic_argmin(
     """argmin_z <lin, z> + (curvature/2)*||z - w_ref||_A^2 + reg_scale * r(z) over the domain.
 
     With no (or a zero) regularizer, the A-norm projection of the Newton
-    target w_ref - A^{-1} lin / curvature, which is the exact minimizer. For
-    d == 1 the closed form: one prox step of length 1/(curvature*a) from
-    w_ref is the exact minimizer. For d >= 2, proximal gradient from w_ref
-    with the step 1/(curvature * lambda_max(A)).
+    target w_ref - A^{-1} lin / curvature, which is the exact minimizer
+    (`newton_step_rows` on one row). Otherwise, for d == 1 the closed form:
+    one prox step of length 1/(curvature*a) from w_ref is the exact
+    minimizer; for d >= 2, proximal gradient from w_ref with the step
+    1/(curvature * lambda_max(A)).
     """
     if reg is None or reg.is_zero:
         return newton_step_rows(domain, A[None], w_ref[None], lin[None], np.array([curvature]))[0]
