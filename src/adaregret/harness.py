@@ -6,6 +6,7 @@ written log2 explicitly.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,8 +23,9 @@ from .core import (
     LossSpec,
     Regularizer,
     check_loss_on_domain,
+    row_norms,
 )
-from .experts import proximal_gradient
+from .experts import prox_onto_rows
 from .intervals import iter_gc_intervals
 
 # ---------------------------------------------------------------------------
@@ -229,7 +231,8 @@ def _by_family(events: Sequence[LossSpec]) -> dict[str, dict[str, Array]]:
 
 
 class _WindowEval:
-    """Vectorized sum-objective evaluation over a window of events."""
+    """Sum objective and its subgradient over one window of events, as the
+    ellipsoid method reads them."""
 
     def __init__(self, events: Sequence[LossSpec], reg: Regularizer | None):
         self.n = len(events)
@@ -283,23 +286,12 @@ _CHUNK_ELEMENTS = 1 << 16
 def _inner(X: Array, W: Array) -> Array:
     """Inner products <X[k, j], W[k]>, shape (K, n), for X of shape (K or 1, n, d).
 
-    A one-dimensional product is one multiplication; for d >= 2 each row is
-    the same matrix-vector product _WindowEval.value_sum computes.
+    A one-dimensional product is one multiplication; for d >= 2 row k is the
+    matrix-vector product X[k] @ W[k], as a one-window evaluation computes it.
     """
     if W.shape[1] == 1:
         return X[:, :, 0] * W
     return np.stack([x @ w for x, w in zip(np.broadcast_to(X, (len(W),) + X.shape[1:]), W)])
-
-
-def _reg_values(reg: Regularizer, W: Array) -> Array:
-    """reg.value at each row of W."""
-    if reg.is_zero:
-        return np.zeros(len(W))
-    if W.shape[1] > 1:
-        return np.array([reg.value(w) for w in W])
-    if reg.kind == "l1":
-        return reg.weight * np.abs(W[:, 0])
-    return reg.weight * (W[:, 0] * W[:, 0])
 
 
 def _sum_values(groups: dict[str, dict[str, Array]], n: int, reg: Regularizer, W: Array) -> Array:
@@ -325,7 +317,7 @@ def _sum_values(groups: dict[str, dict[str, Array]], n: int, reg: Regularizer, W
             diff = W[:, None, :] - g["u"]
             terms = 0.5 * g["lam"] * np.sum(diff * diff, axis=2) + _inner(g["b"], W)
         total += np.sum(terms, axis=1)
-    return total + n * _reg_values(reg, W)
+    return total + n * reg.value_rows(W)
 
 
 class _StreamEval:
@@ -338,13 +330,14 @@ class _StreamEval:
     """
 
     def __init__(self, events: Sequence[LossSpec], reg: Regularizer | None):
+        self.events = events
         self.reg = reg if reg is not None else Regularizer()
         groups = _by_family(events)
         self.families = list(groups)
         self.stacks = list(groups.values())
         index = {fam: f for f, fam in enumerate(self.families)}
         T, F = len(events), len(self.families)
-        code = np.array([index[ev.family] for ev in events], dtype=np.int64)
+        self.code = code = np.array([index[ev.family] for ev in events], dtype=np.int64)
         member = code[None, :] == np.arange(F)[:, None]
         # count[f, t]: rounds of family f among rounds 1..t
         self.count = np.zeros((F, T + 1), dtype=np.int64)
@@ -372,6 +365,26 @@ class _StreamEval:
             (np.array(rows), [(f, c) for f, c in zip(key[:F], key[F:]) if c > 0])
             for key, rows in members.items()
         ]
+
+    @functools.cached_property
+    def quadratic_terms(self) -> tuple[Array, Array, Array]:
+        """(x, lam, b), one row per round: round t adds 2 x[t] x[t]^T + lam[t] I
+        to a quadratic-structure window's A and b[t] to its b, with the
+        arithmetic of one event's update; rounds of other families read 0."""
+        d = next(v.shape[1] for v in self.stacks[0].values() if v.ndim == 2)
+        T = len(self.code)
+        x, lam, b = np.zeros((T, d)), np.zeros(T), np.zeros((T, d))
+        for f, (fam, g) in enumerate(zip(self.families, self.stacks)):
+            rounds = self.code == f
+            if fam == "linear":
+                b[rounds] = g["g"]
+            elif fam == "quadratic":
+                lam[rounds] = g["lam"]
+                b[rounds] = g["b"] - g["lam"][:, None] * g["u"]
+            elif fam == "squared-prediction":
+                x[rounds] = g["x"]
+                b[rounds] = (-2.0 * g["y"])[:, None] * g["x"]
+        return x, lam, b
 
     def gather(self, ps: Array, layout: list[tuple[int, int]]) -> dict[str, dict[str, Array]]:
         """Params of the windows starting at ps that share `layout`, each array
@@ -490,7 +503,8 @@ def _bounded_brent(
 def _scalar_comparators(
     stream: _StreamEval, ps: Array, qs: Array, domain: Domain
 ) -> tuple[Array, Array]:
-    """Comparators (w*, value) of the one-dimensional windows [ps[k], qs[k]].
+    """Comparators (w* as a K x 1 stack, value) of the one-dimensional windows
+    [ps[k], qs[k]].
 
     Windows that share a family layout are searched together, in chunks of
     at most _CHUNK_ELEMENTS window rounds. Per window: the bounded Brent
@@ -538,31 +552,34 @@ def _scalar_comparators(
             to_centre = f_centre < f_proj
             w_out[chunk] = np.where(to_centre, centre, proj)
             v_out[chunk] = np.where(to_centre, f_centre, f_proj)
-    return w_out, v_out
+    return w_out[:, None], v_out
 
 
 _QUADRATIC_FAMILIES = {"linear", "quadratic", "squared-prediction"}
 
 
-def _aggregate_quadratic(events: Sequence[LossSpec], d: int) -> tuple[Array, Array, float]:
-    """Sum objective as 0.5 w^T A w + b^T w + c for quadratic-structure families."""
-    A = np.zeros((d, d))
-    b = np.zeros(d)
-    c = 0.0
-    for ev in events:
-        p = ev.params
-        if ev.family == "linear":
-            b += p["g"]
-        elif ev.family == "quadratic":
-            A += p["lam"] * np.eye(d)
-            b += p["b"] - p["lam"] * p["u"]
-            c += 0.5 * p["lam"] * float(np.dot(p["u"], p["u"]))
-        else:
-            x, y = p["x"], p["y"]
-            A += 2.0 * np.outer(x, x)
-            b += -2.0 * y * x
-            c += y * y
-    return A, b, c
+def _quadratic_models(
+    stream: _StreamEval, starts: Array, n: int, families: set[str]
+) -> tuple[Array, Array]:
+    """A (K, d, d) and b (K, d) of the quadratic-structure windows [starts[k],
+    starts[k] + n - 1], whose sum objective is 0.5 w^T A w + b^T w plus a
+    constant. One round offset at a time, every window adds its round's terms
+    (`_StreamEval.quadratic_terms`), so each adds them in event order, as one
+    event at a time would; the zero terms of other families change nothing.
+    """
+    x, lam, b_t = stream.quadratic_terms
+    K, d = len(starts), x.shape[1]
+    A, b = np.zeros((K, d, d)), np.zeros((K, d))
+    eye = np.eye(d)
+    for j in range(n):
+        t = starts + (j - 1)
+        if "squared-prediction" in families:
+            xt = x[t]
+            A += 2.0 * (xt[:, :, None] * xt[:, None, :])
+        if "quadratic" in families:
+            A += lam[t][:, None, None] * eye
+        b += b_t[t]
+    return A, b
 
 
 def _minimize_linear(domain: Domain, gbar: Array) -> Array:
@@ -591,6 +608,52 @@ def _stationary_point(A: Array, b: Array) -> Array | None:
         w = np.linalg.lstsq(A, -b, rcond=None)[0]
     scale = float(np.linalg.norm(A)) * float(np.linalg.norm(w)) + float(np.linalg.norm(b))
     return w if float(np.linalg.norm(A @ w + b)) <= _ROUNDOFF * scale else None
+
+
+def _stationary_points(A: Array, b: Array) -> Array:
+    """_stationary_point of every row (A[k], b[k]), a NaN row where it is None:
+    one batched solve, or one window at a time when some A[k] is singular."""
+    try:
+        return np.linalg.solve(A, -b[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        points = [_stationary_point(a, v) for a, v in zip(A, b)]
+        return np.stack([np.full(len(v), np.nan) if w is None else w for w, v in zip(points, b)])
+
+
+def _proximal_gradient_rows(
+    domain: Domain, A: Array, b: Array, reg: Regularizer | None, scale: float, cap: int
+) -> Array:
+    """argmin_z <b[k], z> + 0.5 z^T A[k] z + scale * r(z) over the domain, for
+    every k in lockstep.
+
+    Row k repeats experts.proximal_gradient(domain, A[k], 1.0, 0.0, b[k], reg,
+    scale, domain.project(domain.center), 1e-12, cap) bit for bit: steps of
+    1/lambda_max(A[k]) from the projected centre, each row stopping on its own
+    move <= 1e-12. Raises ConvergenceError when some row has taken `cap` steps.
+    """
+    K = len(b)
+    step = 1.0 / np.linalg.eigvalsh(A)[:, -1]
+    prox_scale = step * scale
+    Z = np.tile(domain.project(domain.center), (K, 1))
+    out = np.empty_like(Z)
+    rows = np.arange(K)
+    for _ in range(cap):
+        grad = b + (A @ Z[:, :, None])[:, :, 0]
+        Z_new = prox_onto_rows(domain, reg, Z - step[:, None] * grad, prox_scale)
+        move = row_norms(Z_new - Z)
+        Z = Z_new
+        done = move <= 1e-12
+        if done.any():
+            out[rows[done]] = Z[done]
+            run = ~done
+            if not run.any():
+                return out
+            rows, Z, A, b, step, prox_scale, move = (
+                v[run] for v in (rows, Z, A, b, step, prox_scale, move)
+            )
+    raise ConvergenceError(
+        f"proximal gradient did not converge in {cap} steps", residual=float(move.max())
+    )
 
 
 # The generic comparator stops once its best value is within this relative gap
@@ -696,77 +759,126 @@ def _ellipsoid_minimize(
     )
 
 
+def _quadratic_comparators(
+    stream: _StreamEval, ps: Array, qs: Array, domain: Domain, cap: int = 200_000
+) -> tuple[Array, Array]:
+    """Comparators (w*, value) of the windows [ps[k], qs[k]] of dimension d >= 2.
+
+    Windows that share a family layout are solved together, in chunks of at
+    most _CHUNK_ELEMENTS window rounds times d. The windows whose families all
+    have quadratic structure (linear, quadratic, squared prediction) build
+    their A and b at once (`_quadratic_models`); each then takes the first
+    path that applies:
+      with no l1 term and A = 0: the linear closed form;
+      with no l1 term: the stationary point when it is feasible;
+      with A != 0: the proximal gradient, all such windows in lockstep
+          (`_proximal_gradient_rows`, at most `cap` steps);
+      a pure linear sum with an l1 term (no step length), and every window
+          with absolute or log-like terms: the ellipsoid method, one window at
+          a time.
+    Then the better of the projected point and the projected domain centre
+    (the centre only on a strict improvement).
+    """
+    d, reg = domain.dim, stream.reg
+    l1 = reg.kind == "l1" and not reg.is_zero
+    centre = domain.project(domain.center)
+    w_out, v_out = np.empty((len(ps), d)), np.empty(len(ps))
+    for members, layout in stream.layouts(ps, qs):
+        families = {stream.families[f] for f, _ in layout}
+        n = sum(c for _, c in layout)
+        step = max(1, _CHUNK_ELEMENTS // (d * max(n, d)))
+        for i in range(0, len(members), step):
+            chunk = members[i : i + step]
+            starts = ps[chunk]
+            K = len(chunk)
+            W = np.empty((K, d))
+            generic = np.ones(K, dtype=bool)  # windows for the ellipsoid
+            if families <= _QUADRATIC_FAMILIES:
+                A, b = _quadratic_models(stream, starts, n, families)
+                if reg.kind == "squared-l2" and not reg.is_zero:
+                    A = A + 2.0 * n * reg.weight * np.eye(d)
+                linear = np.linalg.norm(A, axis=(1, 2)) == 0.0
+                stepped = ~linear  # windows for the proximal gradient
+                if not l1:
+                    for k in np.flatnonzero(linear):
+                        W[k] = _minimize_linear(domain, b[k])
+                    if stepped.any():
+                        W[stepped] = _stationary_points(A[stepped], b[stepped])
+                        stepped &= ~domain.contains_rows(W)
+                if stepped.any():
+                    W[stepped] = _proximal_gradient_rows(
+                        domain, A[stepped], b[stepped], reg if l1 else None, float(n), cap
+                    )
+                generic = linear & l1
+            for k in np.flatnonzero(generic):
+                window = stream.events[starts[k] - 1 : starts[k] - 1 + n]
+                W[k] = _ellipsoid_minimize(_WindowEval(window, reg), domain)[0]
+            groups = stream.gather(starts, layout)
+            proj = domain.project_rows(W)
+            f_proj = _sum_values(groups, n, reg, proj)
+            f_centre = _sum_values(groups, n, reg, np.tile(centre, (K, 1)))
+            to_centre = f_centre < f_proj
+            w_out[chunk] = np.where(to_centre[:, None], centre, proj)
+            v_out[chunk] = np.where(to_centre, f_centre, f_proj)
+    return w_out, v_out
+
+
+class _LockstepBatch:
+    """The comparators (w*, value) of the windows [ps[k], qs[k]] of one
+    stream, all solved together (`_scalar_comparators` at d = 1,
+    `_quadratic_comparators` otherwise) when the first of them is asked for."""
+
+    def __init__(self, stream: _StreamEval, ps: Array, qs: Array, domain: Domain):
+        self.stream, self.ps, self.qs, self.domain = stream, ps, qs, domain
+        self.index = {pq: k for k, pq in enumerate(zip(ps.tolist(), qs.tolist()))}
+        self.solved: tuple[Array, Array] | None = None
+
+    def comparator(self, p: int, q: int) -> tuple[Array, float]:
+        if self.solved is None:
+            solve = _scalar_comparators if self.domain.dim == 1 else _quadratic_comparators
+            self.solved = solve(self.stream, self.ps, self.qs, self.domain)
+        k = self.index[(p, q)]
+        return self.solved[0][k], float(self.solved[1][k])
+
+
 def offline_comparator(
     events: Sequence[LossSpec],
     p: int,
     q: int,
     domain: Domain,
     reg: Regularizer | None = None,
+    batch: _LockstepBatch | None = None,
 ) -> tuple[Array, float]:
     """Best fixed point over [p, q]: returns (w*, sum-objective value at w*).
 
-    The path, and the accuracy of the value it returns, depend on the window:
+    Alone, the window is solved as a batch of one. Given `batch`, a
+    `_LockstepBatch` over these events, reg and domain that holds [p, q], it
+    returns the window's share of the batch's lockstep solve; the regret
+    reports score every window so, and a wrapper of this function sees each
+    of their windows. The path, and the accuracy of the value it returns,
+    depend on the window:
       one-dimensional windows: bounded Brent search with xatol 1e-11 (a port
-          of scipy's, run in lockstep across windows by the regret reports),
-          which also stops on its relative term sqrt(eps)*|x|, so the
-          minimizer is located to about 1.5e-8*|x|;
+          of scipy's), which also stops on its relative term sqrt(eps)*|x|,
+          so the minimizer is located to about 1.5e-8*|x|;
       d >= 2, pure linear sums, or quadratic-structure sums (linear,
           quadratic, squared prediction) without an l1 term whose
           unconstrained minimizer is feasible (a least-squares point for a
           singular A only when it is stationary): closed form, exact up to
           round-off;
       d >= 2, other quadratic-structure sums: proximal gradient with the step
-          1/lambda_max(A) (`experts.proximal_gradient`), stopped when a step
-          moves the iterate by at most 1e-12;
+          1/lambda_max(A), stopped when a step moves the iterate by at most
+          1e-12;
       d >= 2 with absolute or log-like terms, and pure linear sums with an l1
           term: the central-cut ellipsoid method, stopped on a certified gap
           value - lower <= 1e-9 (1 + |value|).
     """
     if not (1 <= p <= q <= len(events)):
         raise InputError(f"interval [{p},{q}] outside the stream of length {len(events)}")
-    window = events[p - 1 : q]
-    reg = reg if reg is not None else Regularizer()
-    d = domain.dim
-    if d == 1:
-        one = np.array([1])
-        w, value = _scalar_comparators(_StreamEval(window, reg), one, one + len(window) - 1, domain)
-        return w, float(value[0])
-
-    ev = _WindowEval(window, reg)
-    families = {e.family for e in window}
-
-    def finish(w: Array) -> tuple[Array, float]:
-        # keep the best of the candidate and the domain center (cheap insurance)
-        candidates = [domain.project(w), domain.project(domain.center)]
-        vals = [ev.value_sum(c) for c in candidates]
-        k = int(np.argmin(vals))
-        return candidates[k], float(vals[k])
-
-    if families <= _QUADRATIC_FAMILIES and reg.kind in ("none", "squared-l2", "l1"):
-        A, b, c = _aggregate_quadratic(window, d)
-        n = len(window)
-        if reg.kind == "squared-l2" and not reg.is_zero:
-            A = A + 2.0 * n * reg.weight * np.eye(d)
-        l1_active = reg.kind == "l1" and not reg.is_zero
-        linear = float(np.linalg.norm(A)) == 0.0
-        if linear and not l1_active:
-            return finish(_minimize_linear(domain, b))
-        if not l1_active:
-            w_star = _stationary_point(A, b)
-            if w_star is not None and domain.contains(w_star):
-                return finish(w_star)
-        if not linear:
-            w_star = proximal_gradient(
-                domain, A, 1.0, 0.0, b, reg if l1_active else None, float(n),
-                domain.project(domain.center), tol=1e-12, cap=200_000,
-            )
-            return finish(w_star)
-        # a pure linear sum with an l1 term (A = 0) leaves the proximal
-        # gradient no step length; it takes the generic path
-
-    # generic path: central-cut ellipsoid method with a certified gap
-    w_star, _, _ = _ellipsoid_minimize(ev, domain)
-    return finish(w_star)
+    if batch is None:
+        window = _StreamEval(events[p - 1 : q], reg)
+        p, q = 1, q - p + 1
+        batch = _LockstepBatch(window, np.array([p]), np.array([q]), domain)
+    return batch.comparator(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -894,22 +1006,17 @@ def _report_rows(
 ) -> list[RegretRow]:
     """One RegretRow per window [ps[k], qs[k]] of each batch (ps, qs), in order.
 
-    One-dimensional windows are solved a batch at a time from one stream
-    evaluator; other windows one at a time by offline_comparator.
+    Every window of a batch is solved together from one stream evaluator (a
+    `_LockstepBatch`) and scored through offline_comparator.
     """
     prefix = cumulative_losses(events, points, reg)
     stream = _StreamEval(events, reg)
     trajectory = np.asarray(points)
     rows: list[RegretRow] = []
     for ps, qs in batches:
-        if domain.dim == 1:
-            comps = iter(_scalar_comparators(stream, ps, qs, domain)[1].tolist())
-        else:  # each solved just before its window is scored, as one at a time
-            comps = (
-                offline_comparator(events, p, q, domain, reg=reg)[1]
-                for p, q in zip(ps.tolist(), qs.tolist())
-            )
-        for p, q, comp in zip(ps.tolist(), qs.tolist(), comps):
+        batch = _LockstepBatch(stream, ps, qs, domain)
+        for p, q in zip(ps.tolist(), qs.tolist()):
+            _, comp = offline_comparator(events, p, q, domain, reg=reg, batch=batch)
             empirical = _window_regret(
                 events, prefix, p, q, domain, reg, comp, trajectory, stream
             )

@@ -34,3 +34,21 @@ def make_absolute_stream(
         seed=seed,
     )
     return ar.generate_stream(cfg, validate=False)
+
+
+def aggregate_quadratic(events, d):
+    """[REFERENCE] A and b of a quadratic-structure window's sum objective
+    0.5 w^T A w + b^T w + const, one event at a time in event order."""
+    A, b = np.zeros((d, d)), np.zeros(d)
+    for ev in events:
+        p = ev.params
+        if ev.family == "linear":
+            b += p["g"]
+        elif ev.family == "quadratic":
+            A += p["lam"] * np.eye(d)
+            b += p["b"] - p["lam"] * p["u"]
+        else:
+            x, y = p["x"], p["y"]
+            A += 2.0 * np.outer(x, x)
+            b += -2.0 * y * x
+    return A, b

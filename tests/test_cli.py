@@ -251,6 +251,28 @@ def test_main_convergence_error_exit_code(tmp_path, monkeypatch, capsys):
     assert "solver did not converge" in err and "synthetic stall" in err and "0.5" in err
 
 
+def test_main_exit_code_when_a_comparator_hits_its_step_cap(tmp_path, monkeypatch, capsys):
+    # a d=2 l1 least-squares run whose comparator windows may take only two
+    # proximal gradient steps ends on the solver's exit code
+    import functools
+
+    import adaregret.harness as harness
+
+    capped = functools.partial(harness._quadratic_comparators, cap=2)
+    monkeypatch.setattr(harness, "_quadratic_comparators", capped)
+    cfg = base_config(
+        dimension=2,
+        regularizer={"kind": "l1", "weight": 0.05},
+        segments=[{"length": 16, "family": "squared-prediction", "target": [0.5, -0.3],
+                   "scale": 0.4, "noise": 0.05}],
+    )
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "proximal gradient did not converge in 2 steps" in err and "residual" in err
+
+
 def test_self_check_records_convergence_error(monkeypatch, capsys):
     def stall(cfg, out):
         raise ar.ConvergenceError("synthetic stall", residual=0.5)

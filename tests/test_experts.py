@@ -13,7 +13,8 @@ from adaregret.experts import (
     prox_onto,
     prox_quadratic_argmin,
 )
-from adaregret.harness import _aggregate_quadratic, _WindowEval
+from adaregret.harness import _WindowEval
+from tests.conftest import aggregate_quadratic
 
 
 # ---------------------------------------------------------------------------
@@ -256,7 +257,7 @@ def test_quadratic_comparator_bits_match_previous_loop(d, kind):
             y = float(rng.uniform(-1, 1)) + float(x @ rng.uniform(-3, 3, size=d))
             events.append(ar.LossSpec("squared-prediction", {"x": x, "y": y}))
         events.append(ar.LossSpec("linear", {"g": rng.uniform(-1, 1, size=d)}))
-        A, b, _ = _aggregate_quadratic(events, d)
+        A, b = aggregate_quadratic(events, d)
         if not l1 and dom.contains(np.linalg.solve(A, -b)):
             continue
         w_old = _old_prox_gradient_quadratic(

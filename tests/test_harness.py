@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import adaregret as ar
-from tests.conftest import make_absolute_stream
+from tests.conftest import aggregate_quadratic, make_absolute_stream
 
 
 # ---------------------------------------------------------------------------
@@ -575,6 +575,158 @@ def test_batched_values_match_value_sum(d):
         for p, q in ((1, len(events)), (10, 30), (13, 13), (20, 45)):
             ev = _WindowEval(events[p - 1 : q], reg)
             assert stream.values(p, q, W).tolist() == [ev.value_sum(w) for w in W]
+
+
+def _quadratic_comparator_reference(events, dom, reg):
+    """[REFERENCE] the d >= 2 comparator of one window, solved on its own:
+    (w*, value, path). The closed forms, the least-squares fallback and the
+    proximal gradient loop are transcribed; the ellipsoid is the harness's."""
+    from adaregret.experts import prox_onto
+    from adaregret.harness import _ellipsoid_minimize, _WindowEval
+
+    d, n = dom.dim, len(events)
+    ev = _WindowEval(events, reg)
+
+    def finish(w, path):
+        candidates = [dom.project(w), dom.project(dom.center)]
+        vals = [ev.value_sum(c) for c in candidates]
+        k = int(np.argmin(vals))
+        return candidates[k], float(vals[k]), path
+
+    if {e.family for e in events} <= {"linear", "quadratic", "squared-prediction"}:
+        A, b = aggregate_quadratic(events, d)
+        if reg.kind == "squared-l2" and not reg.is_zero:
+            A = A + 2.0 * n * reg.weight * np.eye(d)
+        l1 = reg.kind == "l1" and not reg.is_zero
+        linear = float(np.linalg.norm(A)) == 0.0
+        if linear and not l1:
+            if dom.kind == "ball":
+                norm = float(np.linalg.norm(b))
+                w = dom.center if norm == 0.0 else dom.center_ - dom.radius * b / norm
+            else:
+                w = np.where(b > 0, dom.lower, np.where(b < 0, dom.upper, dom.center))
+            return finish(w.astype(float), "linear")
+        if not l1:
+            try:
+                w, path = np.linalg.solve(A, -b), "solve"
+            except np.linalg.LinAlgError:
+                w, path = np.linalg.lstsq(A, -b, rcond=None)[0], "lstsq"
+                norm = np.linalg.norm
+                scale = float(norm(A)) * float(norm(w)) + float(norm(b))
+                if float(norm(A @ w + b)) > 1e3 * np.finfo(float).eps * scale:
+                    w = None
+            if w is not None and dom.contains(w):
+                return finish(w, path)
+        if not linear:
+            step = 1.0 / float(np.linalg.eigvalsh(A)[-1])
+            z = dom.project(dom.center)
+            for _ in range(200_000):
+                z_new = prox_onto(dom, reg if l1 else None, z - step * (b + A @ z), step * float(n))
+                move = float(np.linalg.norm(z_new - z))
+                z = z_new
+                if move <= 1e-12:
+                    return finish(z, "prox")
+            raise ar.ConvergenceError("reference loop did not converge", residual=move)
+    w, _, _ = _ellipsoid_minimize(ev, dom)
+    return finish(w, "ellipsoid")
+
+
+def _quadratic_stream(d):
+    """Contiguous blocks of the quadratic-structure families: squared
+    prediction with far targets, quadratics, linear rounds, squared prediction
+    on the first coordinate only (a singular A whose b lies in its range) and
+    linear rounds off that coordinate (a b outside it)."""
+    rng = np.random.default_rng(30 + d)
+    events = []
+    for _ in range(d + 1):
+        x = rng.uniform(-1.0, 1.0, size=d)
+        y = float(x @ rng.uniform(-3, 3, size=d))
+        events.append(ar.LossSpec("squared-prediction", {"x": x, "y": y}))
+    for _ in range(4):
+        params = {"u": rng.uniform(-0.5, 0.5, size=d), "lam": float(rng.uniform(0.3, 1.0)),
+                  "b": rng.uniform(-0.2, 0.2, size=d)}
+        events.append(ar.LossSpec("quadratic", params))
+    for _ in range(3):
+        events.append(ar.LossSpec("linear", {"g": rng.uniform(-1.0, 1.0, size=d)}))
+    for _ in range(2):
+        x = np.zeros(d)
+        x[0] = float(rng.uniform(0.3, 1.0))
+        events.append(ar.LossSpec("squared-prediction", {"x": x, "y": 0.1 * x[0]}))
+    for _ in range(2):
+        g = np.zeros(d)
+        g[1] = float(rng.uniform(-1.0, 1.0))
+        events.append(ar.LossSpec("linear", {"g": g}))
+    for _ in range(3):
+        x = rng.uniform(-1.0, 1.0, size=d)
+        y = float(rng.uniform(-0.5, 0.5))
+        events.append(ar.LossSpec("squared-prediction", {"x": x, "y": y}))
+    return events
+
+
+_DOMAINS_ND = {
+    "box": lambda d: ar.Domain.box(np.linspace(-1.0, -0.4, d), np.linspace(0.3, 0.9, d)),
+    "ball": lambda d: ar.Domain.ball(np.zeros(d), 0.8),
+    "off-ball": lambda d: ar.Domain.ball(np.linspace(0.3, -0.2, d), 0.6),
+}
+
+
+@pytest.mark.parametrize("reg", sorted(_REGS))
+@pytest.mark.parametrize("dom", sorted(_DOMAINS_ND))
+@pytest.mark.parametrize("d", [2, 5])
+def test_quadratic_comparators_match_a_per_window_reference(d, dom, reg, monkeypatch):
+    # [DERIVED] the d >= 2 comparators of many windows at once (mixed lengths,
+    # in chunks of the default size and of a few windows), of one window at a
+    # time, offline_comparator on each window and a regret report's
+    # comparator values equal the per-window reference, point and value bit
+    # for bit, windows whose families interleave (linear, squared
+    # prediction, linear) included. The windows cover every path: the linear
+    # closed form, a solve, the least-squares fallback, the proximal gradient
+    # loop and (linear with l1) the ellipsoid.
+    import adaregret.harness as harness
+
+    dom, reg = _DOMAINS_ND[dom](d), _REGS[reg]
+    events = _quadratic_stream(d)
+    T = len(events)
+    windows = [(p, p + n - 1) for n in (1, 2, 3, 5, T) for p in range(1, T - n + 2)]
+    ps, qs = (np.array(v) for v in zip(*windows))
+    want = [_quadratic_comparator_reference(events[p - 1 : q], dom, reg) for p, q in windows]
+    paths = {path for _, _, path in want}
+    want_paths = {
+        "none": {"linear", "solve", "lstsq", "prox"},
+        "l1": {"prox", "ellipsoid"},
+        "squared-l2": {"solve", "prox"},  # the l2 term makes A nonsingular
+    }
+    assert want_paths[reg.kind] <= paths
+    stream = harness._StreamEval(events, reg)
+    W, V = harness._quadratic_comparators(stream, ps, qs, dom)
+    assert [(w.tolist(), v) for w, v in zip(W, V.tolist())] == [(w.tolist(), v) for w, v, _ in want]
+    for (p, q), (w, v, _) in zip(windows, want):
+        W1, V1 = harness._quadratic_comparators(stream, np.array([p]), np.array([q]), dom)
+        assert (W1[0].tolist(), float(V1[0])) == (w.tolist(), v)
+        w1, v1 = ar.offline_comparator(events, p, q, dom, reg=reg)
+        assert (w1.tolist(), v1) == (w.tolist(), v)
+    monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 12)
+    W, V = harness._quadratic_comparators(stream, ps, qs, dom)
+    assert [(w.tolist(), v) for w, v in zip(W, V.tolist())] == [(w.tolist(), v) for w, v, _ in want]
+    # the exhaustive report over these lengths scores the same windows, in order
+    pts = [dom.project(dom.center)] * T
+    rows = ar.adaptive_regret_report(events, pts, dom, tau_list=(1, 2, 3, 5, T), reg=reg)
+    assert [(r.p, r.q, r.comparator_value) for r in rows] == [
+        (p, q, v) for (p, q), (_, v, _) in zip(windows, want)
+    ]
+
+
+def test_quadratic_comparators_step_cap_raises():
+    # [DERIVED] two proximal gradient steps do not settle these l1 windows:
+    # the lockstep loop raises, with the largest last move as its residual
+    import adaregret.harness as harness
+
+    reg = ar.Regularizer("l1", 0.1)
+    stream = harness._StreamEval(_quadratic_stream(5), reg)
+    ps = np.arange(1, 7)
+    with pytest.raises(ar.ConvergenceError) as exc:
+        harness._quadratic_comparators(stream, ps, ps + 3, ar.Domain.ball(np.zeros(5), 0.8), cap=2)
+    assert "2 steps" in str(exc.value) and exc.value.residual > 1e-12
 
 
 @pytest.mark.parametrize("kind", ["box", "ball"])
