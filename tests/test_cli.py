@@ -396,7 +396,9 @@ def test_main_requires_config():
 # Golden artifacts (byte-frozen)
 
 
-@pytest.mark.parametrize("name", ["golden-baseline", "golden-surrogate"])
+@pytest.mark.parametrize(
+    "name", ["golden-baseline", "golden-surrogate", "golden-composite", "golden-generic"]
+)
 def test_golden_artifacts(tmp_path, name):
     golden = DATA / name
     cfg = cli.validate_config(json.loads((golden / "config.json").read_text()))
