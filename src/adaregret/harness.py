@@ -281,6 +281,9 @@ class _WindowEval:
 # Windows x rounds evaluated per batched call; bounds the evaluation's scratch
 # memory at a few MB whatever the number and length of the windows.
 _CHUNK_ELEMENTS = 1 << 16
+# The families of a window in their order of first appearance, as (family
+# index, rounds of that family) pairs.
+_Layout = list[tuple[int, int]]
 
 
 def _inner(X: Array, W: Array) -> Array:
@@ -348,12 +351,9 @@ class _StreamEval:
         pos = np.where(member, np.arange(1, T + 1), self.absent)
         self.first = np.minimum.accumulate(pos[:, ::-1], axis=1)[:, ::-1]
 
-    def layouts(self, ps: Array, qs: Array) -> list[tuple[Array, list[tuple[int, int]]]]:
-        """Group the windows [ps[k], qs[k]] by family layout.
-
-        Returns (window indices, layout) pairs; a layout lists (family index,
-        rounds of that family) in the windows' order of first appearance.
-        """
+    def layouts(self, ps: Array, qs: Array) -> list[tuple[Array, _Layout]]:
+        """Group the windows [ps[k], qs[k]] by family layout: (window indices,
+        layout) pairs."""
         count = self.count[:, qs] - self.count[:, ps - 1]
         order = np.argsort(np.where(count > 0, self.first[:, ps - 1], self.absent), axis=0)
         keys = np.concatenate([order, np.take_along_axis(count, order, axis=0)]).T.tolist()
@@ -386,7 +386,7 @@ class _StreamEval:
                 b[rounds] = (-2.0 * g["y"])[:, None] * g["x"]
         return x, lam, b
 
-    def gather(self, ps: Array, layout: list[tuple[int, int]]) -> dict[str, dict[str, Array]]:
+    def gather(self, ps: Array, layout: _Layout) -> dict[str, dict[str, Array]]:
         """Params of the windows starting at ps that share `layout`, each array
         with a leading window axis."""
         groups = {}
@@ -500,59 +500,30 @@ def _bounded_brent(
     return x_out, f_out, n_out
 
 
-def _scalar_comparators(
-    stream: _StreamEval, ps: Array, qs: Array, domain: Domain
-) -> tuple[Array, Array]:
-    """Comparators (w* as a K x 1 stack, value) of the one-dimensional windows
-    [ps[k], qs[k]].
-
-    Windows that share a family layout are searched together, in chunks of
-    at most _CHUNK_ELEMENTS window rounds. Per window: the bounded Brent
-    search with xatol 1e-11 and 500 evaluations; then the better of the
-    bounds and the Brent point (first lo, then hi, kept on a strict
-    improvement); then the better of that point's projection and the
-    projected domain centre (the centre only on a strict improvement).
+def _brent_points(
+    stream: _StreamEval, starts: Array, layout: _Layout, n: int, domain: Domain
+) -> tuple[Array, tuple[Array, ...]]:
+    """`_comparators`' proposal (a K x 1 stack) for the one-dimensional
+    windows of n rounds starting at `starts` that share `layout`: the bounded
+    Brent search on the domain's interval [lo, hi] with xatol 1e-11 and 500
+    evaluations, all windows in lockstep. Further candidates: lo, then hi.
     """
     if domain.kind == "ball":
         lo = float(domain.center_[0] - domain.radius)
         hi = float(domain.center_[0] + domain.radius)
     else:
         lo, hi = float(domain.lower[0]), float(domain.upper[0])
-    centre = float(domain.project(domain.center)[0])
-    w_out, v_out = np.empty(len(ps)), np.empty(len(ps))
-    for members, layout in stream.layouts(ps, qs):
-        n = sum(c for _, c in layout)
-        step = max(1, _CHUNK_ELEMENTS // n)
-        for i in range(0, len(members), step):
-            chunk = members[i : i + step]
-            starts = ps[chunk]
-            K = len(chunk)
-            # the windows still searching and their params, one copy at a time
-            searching = [K, stream.gather(starts, layout)]
+    K = len(starts)
+    # the windows still searching and their params, one copy at a time
+    searching = [K, stream.gather(starts, layout)]
 
-            def objective(x: Array, rows: Array) -> Array:
-                if len(rows) != searching[0]:  # some windows stopped
-                    searching[:] = len(rows), stream.gather(starts[rows], layout)
-                return _sum_values(searching[1], n, stream.reg, x[:, None])
+    def objective(x: Array, rows: Array) -> Array:
+        if len(rows) != searching[0]:  # some windows stopped
+            searching[:] = len(rows), stream.gather(starts[rows], layout)
+        return _sum_values(searching[1], n, stream.reg, x[:, None])
 
-            x, fx, _ = _bounded_brent(objective, np.full(K, lo), np.full(K, hi))
-            searching.clear()
-            groups = stream.gather(starts, layout)
-
-            def values(x: Array) -> Array:
-                return _sum_values(groups, n, stream.reg, x[:, None])
-
-            best, f_best = x, fx
-            for cand, f_cand in ((lo, values(np.full(K, lo))), (hi, values(np.full(K, hi))), (x, fx)):
-                better = f_cand < f_best
-                best = np.where(better, cand, best)
-                f_best = np.where(better, f_cand, f_best)
-            proj = np.array([domain.project(w)[0] for w in best[:, None]])
-            f_proj, f_centre = values(proj), values(np.full(K, centre))
-            to_centre = f_centre < f_proj
-            w_out[chunk] = np.where(to_centre, centre, proj)
-            v_out[chunk] = np.where(to_centre, f_centre, f_proj)
-    return w_out[:, None], v_out
+    x = _bounded_brent(objective, np.full(K, lo), np.full(K, hi))[0]
+    return x[:, None], (np.full((K, 1), lo), np.full((K, 1), hi))
 
 
 _QUADRATIC_FAMILIES = {"linear", "quadratic", "squared-prediction"}
@@ -759,16 +730,16 @@ def _ellipsoid_minimize(
     )
 
 
-def _quadratic_comparators(
-    stream: _StreamEval, ps: Array, qs: Array, domain: Domain, cap: int = 200_000
-) -> tuple[Array, Array]:
-    """Comparators (w*, value) of the windows [ps[k], qs[k]] of dimension d >= 2.
+def _quadratic_points(
+    stream: _StreamEval, starts: Array, layout: _Layout, n: int, domain: Domain, cap: int
+) -> tuple[Array, tuple[Array, ...]]:
+    """`_comparators`' proposal (a K x d stack) for the windows of n rounds
+    and dimension d >= 2 starting at `starts` that share `layout`; no further
+    candidates.
 
-    Windows that share a family layout are solved together, in chunks of at
-    most _CHUNK_ELEMENTS window rounds times d. The windows whose families all
-    have quadratic structure (linear, quadratic, squared prediction) build
-    their A and b at once (`_quadratic_models`); each then takes the first
-    path that applies:
+    Windows whose families all have quadratic structure (linear, quadratic,
+    squared prediction) build their A and b at once (`_quadratic_models`);
+    each then takes the first path that applies:
       with no l1 term and A = 0: the linear closed form;
       with no l1 term: the stationary point when it is feasible;
       with A != 0: the proximal gradient, all such windows in lockstep
@@ -776,57 +747,75 @@ def _quadratic_comparators(
       a pure linear sum with an l1 term (no step length), and every window
           with absolute or log-like terms: the ellipsoid method, one window at
           a time.
-    Then the better of the projected point and the projected domain centre
-    (the centre only on a strict improvement).
     """
     d, reg = domain.dim, stream.reg
     l1 = reg.kind == "l1" and not reg.is_zero
+    families = {stream.families[f] for f, _ in layout}
+    K = len(starts)
+    W = np.empty((K, d))
+    generic = np.ones(K, dtype=bool)  # windows for the ellipsoid
+    if families <= _QUADRATIC_FAMILIES:
+        A, b = _quadratic_models(stream, starts, n, families)
+        if reg.kind == "squared-l2" and not reg.is_zero:
+            A = A + 2.0 * n * reg.weight * np.eye(d)
+        linear = np.linalg.norm(A, axis=(1, 2)) == 0.0
+        stepped = ~linear  # windows for the proximal gradient
+        if not l1:
+            for k in np.flatnonzero(linear):
+                W[k] = _minimize_linear(domain, b[k])
+            if stepped.any():
+                W[stepped] = _stationary_points(A[stepped], b[stepped])
+                stepped &= ~domain.contains_rows(W)
+        if stepped.any():
+            W[stepped] = _proximal_gradient_rows(
+                domain, A[stepped], b[stepped], reg if l1 else None, float(n), cap
+            )
+        generic = linear & l1
+    for k in np.flatnonzero(generic):
+        window = stream.events[starts[k] - 1 : starts[k] - 1 + n]
+        W[k] = _ellipsoid_minimize(_WindowEval(window, reg), domain)[0]
+    return W, ()
+
+
+def _comparators(
+    stream: _StreamEval, ps: Array, qs: Array, domain: Domain, cap: int = 200_000
+) -> tuple[Array, Array]:
+    """Comparators (w* as a K x d stack, value) of the windows [ps[k], qs[k]].
+
+    Windows of n rounds that share a family layout are solved together, in
+    chunks of K windows with K * d * max(n, d) <= _CHUNK_ELEMENTS. A proposer gives each window of a chunk a point and
+    further candidates: `_brent_points` at d = 1, `_quadratic_points` (at
+    most `cap` proximal-gradient steps) at d >= 2. Each window keeps the
+    projected point, then each further candidate in turn, then the projected
+    domain centre, each on a strict improvement of its sum objective.
+    """
+    d, reg = domain.dim, stream.reg
+    propose = _brent_points if d == 1 else functools.partial(_quadratic_points, cap=cap)
     centre = domain.project(domain.center)
     w_out, v_out = np.empty((len(ps), d)), np.empty(len(ps))
     for members, layout in stream.layouts(ps, qs):
-        families = {stream.families[f] for f, _ in layout}
         n = sum(c for _, c in layout)
         step = max(1, _CHUNK_ELEMENTS // (d * max(n, d)))
         for i in range(0, len(members), step):
             chunk = members[i : i + step]
             starts = ps[chunk]
-            K = len(chunk)
-            W = np.empty((K, d))
-            generic = np.ones(K, dtype=bool)  # windows for the ellipsoid
-            if families <= _QUADRATIC_FAMILIES:
-                A, b = _quadratic_models(stream, starts, n, families)
-                if reg.kind == "squared-l2" and not reg.is_zero:
-                    A = A + 2.0 * n * reg.weight * np.eye(d)
-                linear = np.linalg.norm(A, axis=(1, 2)) == 0.0
-                stepped = ~linear  # windows for the proximal gradient
-                if not l1:
-                    for k in np.flatnonzero(linear):
-                        W[k] = _minimize_linear(domain, b[k])
-                    if stepped.any():
-                        W[stepped] = _stationary_points(A[stepped], b[stepped])
-                        stepped &= ~domain.contains_rows(W)
-                if stepped.any():
-                    W[stepped] = _proximal_gradient_rows(
-                        domain, A[stepped], b[stepped], reg if l1 else None, float(n), cap
-                    )
-                generic = linear & l1
-            for k in np.flatnonzero(generic):
-                window = stream.events[starts[k] - 1 : starts[k] - 1 + n]
-                W[k] = _ellipsoid_minimize(_WindowEval(window, reg), domain)[0]
+            W, further = propose(stream, starts, layout, n, domain)
             groups = stream.gather(starts, layout)
-            proj = domain.project_rows(W)
-            f_proj = _sum_values(groups, n, reg, proj)
-            f_centre = _sum_values(groups, n, reg, np.tile(centre, (K, 1)))
-            to_centre = f_centre < f_proj
-            w_out[chunk] = np.where(to_centre[:, None], centre, proj)
-            v_out[chunk] = np.where(to_centre, f_centre, f_proj)
+            best = domain.project_rows(W)
+            f_best = _sum_values(groups, n, reg, best)
+            for cand in (*further, np.tile(centre, (len(chunk), 1))):
+                f_cand = _sum_values(groups, n, reg, cand)
+                better = f_cand < f_best
+                best = np.where(better[:, None], cand, best)
+                f_best = np.where(better, f_cand, f_best)
+            w_out[chunk], v_out[chunk] = best, f_best
     return w_out, v_out
 
 
 class _LockstepBatch:
     """The comparators (w*, value) of the windows [ps[k], qs[k]] of one
-    stream, all solved together (`_scalar_comparators` at d = 1,
-    `_quadratic_comparators` otherwise) when the first of them is asked for."""
+    stream, all solved together by `_comparators` when the first of them is
+    asked for."""
 
     def __init__(self, stream: _StreamEval, ps: Array, qs: Array, domain: Domain):
         self.stream, self.ps, self.qs, self.domain = stream, ps, qs, domain
@@ -835,8 +824,7 @@ class _LockstepBatch:
 
     def comparator(self, p: int, q: int) -> tuple[Array, float]:
         if self.solved is None:
-            solve = _scalar_comparators if self.domain.dim == 1 else _quadratic_comparators
-            self.solved = solve(self.stream, self.ps, self.qs, self.domain)
+            self.solved = _comparators(self.stream, self.ps, self.qs, self.domain)
         k = self.index[(p, q)]
         return self.solved[0][k], float(self.solved[1][k])
 
@@ -853,10 +841,10 @@ def offline_comparator(
 
     Alone, the window is solved as a batch of one. Given `batch`, a
     `_LockstepBatch` over these events, reg and domain that holds [p, q], it
-    returns the window's share of the batch's lockstep solve; the regret
-    reports score every window so, and a wrapper of this function sees each
-    of their windows. The path, and the accuracy of the value it returns,
-    depend on the window:
+    returns the window's share of the batch's lockstep solve (`_comparators`);
+    the regret reports and `second_order_interval_check` score every window
+    so, and a wrapper of this function sees each of their windows. The path,
+    and the accuracy of the value it returns, depend on the window:
       one-dimensional windows: bounded Brent search with xatol 1e-11 (a port
           of scipy's), which also stops on its relative term sqrt(eps)*|x|,
           so the minimizer is located to about 1.5e-8*|x|;
@@ -1007,7 +995,8 @@ def _report_rows(
     """One RegretRow per window [ps[k], qs[k]] of each batch (ps, qs), in order.
 
     Every window of a batch is solved together from one stream evaluator (a
-    `_LockstepBatch`) and scored through offline_comparator.
+    `_LockstepBatch`, which calls `_comparators`) and scored through
+    offline_comparator.
     """
     prefix = cumulative_losses(events, points, reg)
     stream = _StreamEval(events, reg)
@@ -1089,33 +1078,35 @@ def second_order_interval_check(
 
     Returns rows (r, s, lhs, rhs_gradient_form, rhs_norm_form, slack_min),
     where lhs = sum <g_t, w_t - w>, evaluated at the interval comparator (or a
-    supplied point). Both right-hand sides must dominate lhs.
+    supplied point). Both right-hand sides must dominate lhs. The comparators
+    of all intervals are solved together (a `_LockstepBatch`).
     """
     T = len(events)
     D = domain.diameter
     grads = [ev.grad(w) for ev, w in zip(events, points)]
+    intervals = np.array([(iv.start, iv.end) for iv in iter_gc_intervals(T)])
+    if reference is None:
+        batch = _LockstepBatch(_StreamEval(events, None), intervals[:, 0], intervals[:, 1], domain)
     rows = []
-    for iv in iter_gc_intervals(T):
+    for r, s in intervals.tolist():
         if reference is None:
-            w_ref, _ = offline_comparator(events, iv.start, iv.end, domain)
+            w_ref, _ = offline_comparator(events, r, s, domain, batch=batch)
         else:
             w_ref = reference
         lhs = 0.0
         sq_grad = 0.0
         sq_norm = 0.0
-        for t in range(iv.start, iv.end + 1):
+        for t in range(r, s + 1):
             inner = float(np.dot(grads[t - 1], points[t - 1] - w_ref))
             lhs += inner
             sq_grad += inner * inner
             sq_norm += float(np.dot(points[t - 1] - w_ref, points[t - 1] - w_ref))
-        a = bound_constant_a(iv.start, iv.end, d=domain.dim)
-        ahat = bound_constant_ahat(iv.start, iv.end)
-        cq = bound_constant_c(iv.end)
+        a = bound_constant_a(r, s, d=domain.dim)
+        ahat = bound_constant_ahat(r, s)
+        cq = bound_constant_c(s)
         rhs_grad = 1.5 * math.sqrt(a * sq_grad) + 2.0 * G * D * (5.0 * a + 2.0 * cq)
         rhs_norm = 1.5 * G * math.sqrt(ahat * sq_norm) + 2.0 * G * D * (5.0 * ahat + 2.0 * cq)
-        rows.append(
-            (iv.start, iv.end, lhs, rhs_grad, rhs_norm, min(rhs_grad - lhs, rhs_norm - lhs))
-        )
+        rows.append((r, s, lhs, rhs_grad, rhs_norm, min(rhs_grad - lhs, rhs_norm - lhs)))
     return rows
 
 

@@ -129,13 +129,6 @@ class LifetimeScheduler:
         self._next = 1
         self._alive: dict[int, list[GCInterval]] = {}
 
-    @property
-    def live_intervals(self) -> list[GCInterval]:
-        out: list[GCInterval] = []
-        for end in sorted(self._alive):
-            out.extend(self._alive[end])
-        return out
-
     def advance(self, t: int) -> tuple[list[GCInterval], list[GCInterval]]:
         if t != self._next:
             raise UsageError(f"advance({t}) out of order; expected {self._next}")

@@ -258,8 +258,8 @@ def test_main_exit_code_when_a_comparator_hits_its_step_cap(tmp_path, monkeypatc
 
     import adaregret.harness as harness
 
-    capped = functools.partial(harness._quadratic_comparators, cap=2)
-    monkeypatch.setattr(harness, "_quadratic_comparators", capped)
+    capped = functools.partial(harness._comparators, cap=2)
+    monkeypatch.setattr(harness, "_comparators", capped)
     cfg = base_config(
         dimension=2,
         regularizer={"kind": "l1", "weight": 0.05},

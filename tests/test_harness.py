@@ -698,15 +698,15 @@ def test_quadratic_comparators_match_a_per_window_reference(d, dom, reg, monkeyp
     }
     assert want_paths[reg.kind] <= paths
     stream = harness._StreamEval(events, reg)
-    W, V = harness._quadratic_comparators(stream, ps, qs, dom)
+    W, V = harness._comparators(stream, ps, qs, dom)
     assert [(w.tolist(), v) for w, v in zip(W, V.tolist())] == [(w.tolist(), v) for w, v, _ in want]
     for (p, q), (w, v, _) in zip(windows, want):
-        W1, V1 = harness._quadratic_comparators(stream, np.array([p]), np.array([q]), dom)
+        W1, V1 = harness._comparators(stream, np.array([p]), np.array([q]), dom)
         assert (W1[0].tolist(), float(V1[0])) == (w.tolist(), v)
         w1, v1 = ar.offline_comparator(events, p, q, dom, reg=reg)
         assert (w1.tolist(), v1) == (w.tolist(), v)
     monkeypatch.setattr(harness, "_CHUNK_ELEMENTS", 12)
-    W, V = harness._quadratic_comparators(stream, ps, qs, dom)
+    W, V = harness._comparators(stream, ps, qs, dom)
     assert [(w.tolist(), v) for w, v in zip(W, V.tolist())] == [(w.tolist(), v) for w, v, _ in want]
     # the exhaustive report over these lengths scores the same windows, in order
     pts = [dom.project(dom.center)] * T
@@ -725,7 +725,7 @@ def test_quadratic_comparators_step_cap_raises():
     stream = harness._StreamEval(_quadratic_stream(5), reg)
     ps = np.arange(1, 7)
     with pytest.raises(ar.ConvergenceError) as exc:
-        harness._quadratic_comparators(stream, ps, ps + 3, ar.Domain.ball(np.zeros(5), 0.8), cap=2)
+        harness._comparators(stream, ps, ps + 3, ar.Domain.ball(np.zeros(5), 0.8), cap=2)
     assert "2 steps" in str(exc.value) and exc.value.residual > 1e-12
 
 
@@ -887,6 +887,38 @@ def test_second_order_check_on_learner_run():
         assert lhs <= rhs_norm + 1e-9
         assert slack == pytest.approx(min(rhs_grad - lhs, rhs_norm - lhs))
         assert slack >= -1e-9
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_second_order_check_matches_per_interval_comparators(d, monkeypatch):
+    # [DERIVED] the GC intervals' comparators, solved together, are the
+    # one-window offline_comparator points bit for bit, and so is every row:
+    # each equals the row the check computes at that interval's own point
+    import adaregret.harness as harness
+
+    rng = np.random.default_rng(70 + d)
+    dom = _DOMAINS_1D["ball"] if d == 1 else _DOMAINS_ND["off-ball"](d)
+    events = _mixed_stream(rng, d, _SWITCHING)
+    pts = [dom.sample(rng) for _ in events]
+    seen = {}
+    solve = harness.offline_comparator
+
+    def recording(events, p, q, domain, reg=None, batch=None):
+        assert batch is not None
+        seen[(p, q)] = solve(events, p, q, domain, reg=reg, batch=batch)[0]
+        return seen[(p, q)], math.nan
+
+    monkeypatch.setattr(harness, "offline_comparator", recording)
+    rows = ar.second_order_interval_check(events, pts, dom, G=1.0)
+    monkeypatch.undo()
+    assert [row[:2] for row in rows] == [
+        (iv.start, iv.end) for iv in ar.iter_gc_intervals(len(events))
+    ]
+    for row in rows:
+        w_ref, _ = ar.offline_comparator(events, row[0], row[1], dom)
+        assert seen[row[:2]].tolist() == w_ref.tolist()
+        alone = ar.second_order_interval_check(events, pts, dom, G=1.0, reference=w_ref)
+        assert row == next(r for r in alone if r[:2] == row[:2])
 
 
 # ---------------------------------------------------------------------------
