@@ -783,11 +783,12 @@ def _comparators(
     """Comparators (w* as a K x d stack, value) of the windows [ps[k], qs[k]].
 
     Windows of n rounds that share a family layout are solved together, in
-    chunks of K windows with K * d * max(n, d) <= _CHUNK_ELEMENTS. A proposer gives each window of a chunk a point and
-    further candidates: `_brent_points` at d = 1, `_quadratic_points` (at
-    most `cap` proximal-gradient steps) at d >= 2. Each window keeps the
-    projected point, then each further candidate in turn, then the projected
-    domain centre, each on a strict improvement of its sum objective.
+    chunks of K windows with K * d * max(n, d) <= _CHUNK_ELEMENTS. A proposer
+    gives each window of a chunk a point and further candidates:
+    `_brent_points` at d = 1, `_quadratic_points` (at most `cap`
+    proximal-gradient steps) at d >= 2. Each window starts from its projected
+    point and moves to each further candidate in turn, then to the projected
+    domain centre, on a strict improvement of its sum objective.
     """
     d, reg = domain.dim, stream.reg
     propose = _brent_points if d == 1 else functools.partial(_quadratic_points, cap=cap)
