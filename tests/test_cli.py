@@ -397,7 +397,17 @@ def test_main_requires_config():
 
 
 @pytest.mark.parametrize(
-    "name", ["golden-baseline", "golden-surrogate", "golden-composite", "golden-generic"]
+    "name",
+    [
+        "golden-baseline",
+        "golden-surrogate",
+        "golden-composite",
+        "golden-generic",
+        "golden-uma3",
+        "golden-ums-comp",
+        "golden-baseline-fobos",
+        "golden-baseline-ons",
+    ],
 )
 def test_golden_artifacts(tmp_path, name):
     golden = DATA / name
