@@ -1,6 +1,11 @@
 """Adaptive-regret online convex optimization: interval-sleeping expert
 ensembles with second-order meta-aggregation, composite-loss support, and a
 benchmark harness with closed-form regret-bound calculators.
+
+The top level holds the library API; every other name (experts, meta
+updates, interval schedules, bound constants, checks) is imported from its
+module: `adaregret.core`, `intervals`, `meta`, `experts`, `algorithms`,
+`harness` or `cli`.
 """
 from .core import (
     ConvergenceError,
@@ -10,77 +15,18 @@ from .core import (
     LossSpec,
     Regularizer,
     UsageError,
-    check_loss_on_domain,
-    exp_concave_beta,
-    fd_gradient,
-    fd_hessian,
 )
-from .intervals import (
-    GCInterval,
-    IntervalPartition,
-    LifetimeScheduler,
-    intervals_containing,
-    intervals_starting_at,
-    iter_gc_intervals,
-    partition,
-    partition_piece_bound,
-)
-from .meta import (
-    MetaSlot,
-    MetaSlots,
-    amlp_update,
-    amlp_weights,
-    gamma_for_end,
-    meta_lemma_gamma_bar,
-    meta_lemma_rhs,
-    normalized_loss,
-    oamlp_update,
-    oamlp_weights,
-    optimism_fixed_point,
-)
-from .experts import (
-    SURROGATE_GAMMA,
-    OGDStronglyConvex,
-    ONSExpert,
-    ProxGradExpert,
-    SurrogateStack,
-    eta_grid,
-    surrogate_exp_eval,
-    surrogate_sc_eval,
-)
-from .algorithms import (
-    ALGORITHMS,
-    ONE_GRADIENT_ALGORITHMS,
-    LearnerConfig,
-    MetaLogRow,
-    RoundRecord,
-    build_learner,
-    rate_grid,
-    run,
-)
+from .algorithms import ALGORITHMS, LearnerConfig, build_learner, run
 from .harness import (
-    ALGORITHM_BOUNDS,
-    RegretRow,
     SegmentSpec,
     StreamConfig,
     adaptive_regret_report,
-    bound_constant_a,
-    bound_constant_ahat,
-    bound_constant_b,
-    bound_constant_c,
-    bound_constant_h,
-    bound_constant_xi,
     bound_fn_for,
-    comparator_dominance_check,
-    composite_expert_count,
-    composite_phis,
     cumulative_losses,
     gc_interval_regret,
     generate_stream,
     interval_regret,
     offline_comparator,
-    second_order_interval_check,
-    stream_rows,
     theorem_bound_rhs,
 )
 from .cli import CONFIG_SCHEMA, run_experiment, validate_config
@@ -88,76 +34,33 @@ from .cli import CONFIG_SCHEMA, run_experiment, validate_config
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALGORITHMS",
-    "ALGORITHM_BOUNDS",
-    "CONFIG_SCHEMA",
-    "ConvergenceError",
+    # types
     "Domain",
-    "GCInterval",
-    "InputError",
-    "IntervalPartition",
-    "InvariantViolation",
-    "LearnerConfig",
-    "LifetimeScheduler",
-    "LossSpec",
-    "MetaLogRow",
-    "MetaSlot",
-    "MetaSlots",
-    "OGDStronglyConvex",
-    "ONE_GRADIENT_ALGORITHMS",
-    "ONSExpert",
-    "ProxGradExpert",
-    "RegretRow",
     "Regularizer",
-    "RoundRecord",
-    "SURROGATE_GAMMA",
+    "LossSpec",
     "SegmentSpec",
     "StreamConfig",
-    "SurrogateStack",
+    "LearnerConfig",
+    # errors
+    "InputError",
+    "InvariantViolation",
+    "ConvergenceError",
     "UsageError",
-    "adaptive_regret_report",
-    "amlp_update",
-    "amlp_weights",
-    "bound_constant_a",
-    "bound_constant_ahat",
-    "bound_constant_b",
-    "bound_constant_c",
-    "bound_constant_h",
-    "bound_constant_xi",
-    "bound_fn_for",
-    "build_learner",
-    "check_loss_on_domain",
-    "comparator_dominance_check",
-    "composite_expert_count",
-    "composite_phis",
-    "cumulative_losses",
-    "eta_grid",
-    "exp_concave_beta",
-    "fd_gradient",
-    "fd_hessian",
-    "gamma_for_end",
-    "gc_interval_regret",
+    # pipeline
     "generate_stream",
-    "interval_regret",
-    "intervals_containing",
-    "intervals_starting_at",
-    "iter_gc_intervals",
-    "meta_lemma_gamma_bar",
-    "meta_lemma_rhs",
-    "normalized_loss",
-    "oamlp_update",
-    "oamlp_weights",
-    "offline_comparator",
-    "optimism_fixed_point",
-    "partition",
-    "partition_piece_bound",
-    "rate_grid",
+    "ALGORITHMS",
+    "build_learner",
     "run",
-    "run_experiment",
-    "second_order_interval_check",
-    "stream_rows",
-    "surrogate_exp_eval",
-    "surrogate_sc_eval",
+    # scoring
+    "offline_comparator",
+    "cumulative_losses",
+    "interval_regret",
+    "adaptive_regret_report",
+    "gc_interval_regret",
     "theorem_bound_rhs",
+    "bound_fn_for",
+    # command line
+    "CONFIG_SCHEMA",
     "validate_config",
+    "run_experiment",
 ]

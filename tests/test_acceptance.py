@@ -14,6 +14,19 @@ import pytest
 
 import adaregret as ar
 import adaregret.cli as cli
+from adaregret.algorithms import ONE_GRADIENT_ALGORITHMS
+from adaregret.core import fd_hessian
+from adaregret.experts import surrogate_exp_eval, surrogate_sc_eval
+from adaregret.intervals import intervals_containing, partition
+from adaregret.meta import (
+    MetaSlot,
+    MetaSlots,
+    amlp_update,
+    amlp_weights,
+    gamma_for_end,
+    oamlp_update,
+    oamlp_weights,
+)
 
 
 def _box1(half=1.0):
@@ -55,7 +68,7 @@ def _run(algorithm, domain, G, horizon, events, reg=None, alpha=None):
 def test_criterion_01_gc_invariants():
     t0 = time.perf_counter()
     for t in range(1, 1025):
-        ivs = ar.intervals_containing(t)
+        ivs = intervals_containing(t)
         # exactly one interval per level, floor(log2 t) + 1 of them
         assert len(ivs) == t.bit_length()
         assert len({iv.level for iv in ivs}) == len(ivs)
@@ -66,7 +79,7 @@ def test_criterion_01_gc_invariants():
             assert iv.start // (2**iv.level) >= 1
     for p in range(1, 257):
         for q in range(p, 257):
-            part = ar.partition(p, q)
+            part = partition(p, q)
             part.validate()
             n = q - p + 1
             assert len(part.pieces) <= 2 * math.ceil(math.log2(n + 1))
@@ -142,42 +155,42 @@ def test_criterion_02_meta_oracle_equivalence():
     t0 = time.perf_counter()
     rng = np.random.default_rng(42)
 
-    records = [ar.MetaSlot(gamma=ar.gamma_for_end(e), tag=f"s{e}") for e in (4, 16, 64, 256)]
+    records = [MetaSlot(gamma=gamma_for_end(e), tag=f"s{e}") for e in (4, 16, 64, 256)]
     oracle = _PlainOracle()
     for s in records:
         oracle.add(s.gamma)
-    slots = ar.MetaSlots(records)
+    slots = MetaSlots(records)
     for t in range(1, 1001):
         if rng.uniform() < 0.05:
             end = int(rng.integers(t, 4 * t + 4))
-            slots.extend([ar.MetaSlot(gamma=ar.gamma_for_end(end), tag=f"b{t}")])
+            slots.extend([MetaSlot(gamma=gamma_for_end(end), tag=f"b{t}")])
             oracle.add(slots.gamma[-1])
         elif len(slots) > 2 and rng.uniform() < 0.03:
             k = int(rng.integers(0, len(slots)))
             slots.take(k, k + 1)
             oracle.slots.pop(k)
-        p = ar.amlp_weights(slots)
+        p = amlp_weights(slots)
         p_ref = oracle.weights()
         assert np.allclose(p, p_ref, rtol=1e-10, atol=1e-13)
         ells = rng.uniform(0.0, 1.0, size=len(slots))
         ell_meta = float(p @ ells)
-        ar.amlp_update(slots, ell_meta, ells)
+        amlp_update(slots, ell_meta, ells)
         oracle.update(ell_meta, ells)
 
-    records = [ar.MetaSlot(gamma=math.log(5.0), tag=f"o{i}", log_x=-math.log(5.0)) for i in range(5)]
+    records = [MetaSlot(gamma=math.log(5.0), tag=f"o{i}", log_x=-math.log(5.0)) for i in range(5)]
     opt = _OptimisticOracle()
     for s in records:
         opt.add(s.gamma)
         opt.slots[-1]["x"] = 1.0 / 5.0
-    slots = ar.MetaSlots(records)
+    slots = MetaSlots(records)
     for t in range(1, 1001):
         hints = rng.uniform(-1.0, 1.0, size=len(slots))
-        p = ar.oamlp_weights(slots, hints)
+        p = oamlp_weights(slots, hints)
         p_ref = opt.weights(hints)
         assert np.allclose(p, p_ref, rtol=1e-10, atol=1e-13)
         ells = rng.uniform(0.0, 1.0, size=len(slots))
         ell_meta = float(p @ ells)
-        ar.oamlp_update(slots, ell_meta, ells, hints)
+        oamlp_update(slots, ell_meta, ells, hints)
         opt.update(ell_meta, ells, hints)
 
     elapsed = time.perf_counter() - t0
@@ -202,7 +215,7 @@ def test_criterion_03_surrogate_calculus():
         eta = float(rng.uniform(0.02, 1.0)) / (5 * D * G)
         anchor = rng.uniform(-D / 2, D / 2, size=d) / math.sqrt(d)
         w = rng.uniform(-D / 2, D / 2, size=d) / math.sqrt(d)
-        _, grad = ar.surrogate_exp_eval(eta, g, anchor, w)
+        _, grad = surrogate_exp_eval(eta, g, anchor, w)
         hess = 2.0 * eta * eta * np.outer(g, g)
         slack = float(np.linalg.eigvalsh(hess - np.outer(grad, grad))[0])
         worst = min(worst, slack)
@@ -213,7 +226,7 @@ def test_criterion_03_surrogate_calculus():
     anchor = np.array([0.1, 0.25])
     for eta in (0.04, 0.08, 1.0 / (5 * 2.0 * G2)):
         w = rng.uniform(-0.6, 0.6, size=2)
-        hess = ar.fd_hessian(lambda z: ar.surrogate_sc_eval(eta, G2, g, anchor, z)[0], w)
+        hess = fd_hessian(lambda z: surrogate_sc_eval(eta, G2, g, anchor, z)[0], w)
         assert np.allclose(hess, 2.0 * eta * eta * G2 * G2 * np.eye(2), atol=1e-6)
     print(f"PASS 3: exp-concavity slack >= {worst:.2e} on 1000 samples; quadratic Hessian exact")
 
@@ -486,7 +499,7 @@ def test_criterion_09_byte_identical_artifacts(tmp_path):
 def test_criterion_10_one_gradient_per_round():
     T = 128
     domain = _box1()
-    for algo in ar.ONE_GRADIENT_ALGORITHMS:
+    for algo in ONE_GRADIENT_ALGORITHMS:
         reg = ar.Regularizer("l1", 0.05) if "comp" in algo else ar.Regularizer()
         events = _stream(
             T, domain, 1.0,
@@ -496,4 +509,4 @@ def test_criterion_10_one_gradient_per_round():
         learner, recs = _run(algo, domain, 1.0, T, events, reg=reg)
         assert learner.grad_evals == T
         assert recs[-1].grad_evals == T
-    print(f"PASS 10: gradient counter == T for {', '.join(ar.ONE_GRADIENT_ALGORITHMS)}")
+    print(f"PASS 10: gradient counter == T for {', '.join(ONE_GRADIENT_ALGORITHMS)}")

@@ -7,6 +7,10 @@ import numpy as np
 import pytest
 
 import adaregret as ar
+from adaregret.algorithms import ONE_GRADIENT_ALGORITHMS, rate_grid
+from adaregret.core import exp_concave_beta
+from adaregret.intervals import GCInterval, LifetimeScheduler, intervals_containing
+from adaregret.meta import MetaSlot, MetaSlots, gamma_for_end, meta_lemma_rhs
 from tests.conftest import make_absolute_stream
 from tests.test_experts import _ogd_sc, _ons, _prox_grad, _Recursion
 
@@ -35,9 +39,9 @@ def test_learner_config_validation(box1):
 
 
 def test_rate_grid_values():
-    assert list(ar.rate_grid(1)) == [1.0]
-    assert list(ar.rate_grid(8)) == [0.125, 0.25, 0.5, 1.0]
-    grid = ar.rate_grid(100)
+    assert list(rate_grid(1)) == [1.0]
+    assert list(rate_grid(8)) == [0.125, 0.25, 0.5, 1.0]
+    grid = rate_grid(100)
     assert grid[0] == pytest.approx(0.01)
     assert grid[-1] >= 1.0
     # any modulus in [1/T, 1] has a grid point within a factor of two below it
@@ -93,7 +97,7 @@ def test_zero_loss_composite_stays_at_center(box1):
         assert rec.optimism_residual <= learner.fp_tol
 
 
-@pytest.mark.parametrize("algo", ar.ONE_GRADIENT_ALGORITHMS)
+@pytest.mark.parametrize("algo", ONE_GRADIENT_ALGORITHMS)
 def test_one_gradient_per_round(algo, box1):
     reg = ar.Regularizer("l1", 0.05) if "comp" in algo else ar.Regularizer()
     events = make_absolute_stream(50, box1, noise=0.25, seed=1)
@@ -118,10 +122,10 @@ def _grid_reference(dom, G, events):
     the plain meta. Returns the played points, the meta log as tuples, the
     gradient count and the number of row updates that ended on the sphere."""
     T, D = len(events), dom.diameter
-    moduli = [float(a) for a in ar.rate_grid(T)]
-    betas = [ar.exp_concave_beta(G, D, a) for a in moduli]
+    moduli = [float(a) for a in rate_grid(T)]
+    betas = [exp_concave_beta(G, D, a) for a in moduli]
     tags = ["ogd"] + [f"ons[{a!r}]" for a in moduli] + [f"ogd-sc[{a!r}]" for a in moduli]
-    sched, slots = ar.LifetimeScheduler(), ar.MetaSlots()
+    sched, slots = LifetimeScheduler(), MetaSlots()
     meta = ar.algorithms.MetaAggregator(dom, G, check=True)
     cohorts, traj, log = {}, [], []
     evals = created = on_sphere = 0
@@ -136,7 +140,7 @@ def _grid_reference(dom, G, events):
         for tag, gamma, lhs, sq_dev in zip(
             block.tags, block.gamma.tolist(), block.cum_r.tolist(), block.sq_dev.tolist()
         ):
-            rhs = ar.meta_lemma_rhs(gamma, created, s_eff, sq_dev)
+            rhs = meta_lemma_rhs(gamma, created, s_eff, sq_dev)
             log.append((iv.start, iv.end, s_eff, tag, lhs, rhs, sq_dev, created))
 
     for t, loss in enumerate(events, start=1):
@@ -146,8 +150,8 @@ def _grid_reference(dom, G, events):
             rows = [_Recursion(dom, _prox_grad(lambda s, step=step: step))]
             rows += [_Recursion(dom, _ons(beta), curvature=beta) for beta in betas]
             rows += [_Recursion(dom, _ogd_sc(lam)) for lam in moduli]
-            gamma = ar.gamma_for_end(iv.end)
-            slots.extend(ar.MetaSlot(gamma=gamma, tag=tag) for tag in tags)
+            gamma = gamma_for_end(iv.end)
+            slots.extend(MetaSlot(gamma=gamma, tag=tag) for tag in tags)
             cohorts[iv] = rows
             created += len(rows)
         w = meta.point(slots, np.stack([r.w for rows in cohorts.values() for r in rows]))
@@ -189,14 +193,14 @@ def test_live_expert_counts_small_horizon(box1):
 
     def experts_at(t):
         total = 0
-        for iv in ar.intervals_containing(t):
+        for iv in intervals_containing(t):
             top = math.ceil(0.5 * math.log2(iv.length)) if iv.length > 1 else 0
             total += 2 * (top + 1)
         return total
 
     for rec in recs:
         assert rec.live_experts == experts_at(rec.t)
-        assert rec.alive_intervals == len(ar.intervals_containing(rec.t))
+        assert rec.alive_intervals == len(intervals_containing(rec.t))
     assert recs[0].live_experts == 2
     assert recs[1].live_experts == 6
 
@@ -211,8 +215,8 @@ def test_meta_log_certificates_hold(box1):
         assert row.lhs <= row.rhs + 1e-9
         assert row.s_eff <= 96
         assert 1 <= row.start <= row.s_eff
-        rhs = ar.meta_lemma_rhs(
-            ar.gamma_for_end(row.end), row.n_created, row.s_eff, row.sq_dev
+        rhs = meta_lemma_rhs(
+            gamma_for_end(row.end), row.n_created, row.s_eff, row.sq_dev
         )
         assert row.rhs == pytest.approx(rhs, rel=1e-12)
 
@@ -225,7 +229,7 @@ def test_finish_flushes_open_cohorts(box1):
     # plus [2,3],[4,5],[6,7] and [4,7]; those still alive are logged at s_eff=6
     logged = {(r.start, r.end) for r in learner.meta_log}
     assert logged == {
-        (iv.start, iv.end) for t in range(1, 7) for iv in ar.intervals_containing(t)
+        (iv.start, iv.end) for t in range(1, 7) for iv in intervals_containing(t)
     }
     open_rows = [r for r in learner.meta_log if r.end > 6]
     assert open_rows and all(r.s_eff == 6 for r in open_rows)
@@ -289,7 +293,7 @@ def test_universal_expert_usage_errors(box1):
     with pytest.raises(ar.UsageError):
         exp.point()
     meta = ar.algorithms.MetaAggregator(box1, 1.0)
-    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0) for _ in range(2)])
+    slots = MetaSlots([MetaSlot(gamma=1.0) for _ in range(2)])
     with pytest.raises(ar.UsageError):
         meta.update(np.zeros(1))
     meta.point(slots, np.zeros((2, 1)))
@@ -307,7 +311,7 @@ def test_aggregator_checks_run_where_enabled(box1, check):
     reg = ar.Regularizer("l1", 0.1)
     for kind, name in ((None, "meta-loss-center"), (reg, "composite-deviation-identity")):
         meta = ar.algorithms.MetaAggregator(box1, 1.0, kind, fp_tol=1e-3, check=check)
-        meta.point(ar.MetaSlots([ar.MetaSlot(gamma=1.0) for _ in pts]), pts)
+        meta.point(MetaSlots([MetaSlot(gamma=1.0) for _ in pts]), pts)
         if kind is None:
             meta.w = meta.w + 0.5  # not the weighted average: meta loss 3/8
         else:
@@ -321,7 +325,7 @@ def test_aggregator_checks_run_where_enabled(box1, check):
     assert meta.max_identity_gap == pytest.approx(0.5)
     on = ar.build_learner(_cfg("uma-comp", box1, 8, regularizer=reg, check_invariants=check))
     assert on.meta.check is check
-    assert not on._build(ar.GCInterval(1, 8, 3))[0].meta.check
+    assert not on._build(GCInterval(1, 8, 3))[0].meta.check
     assert not ar.algorithms.UniversalExpert(box1, 1.0, 8).meta.check
 
 
@@ -334,7 +338,7 @@ class _SkewedPoints(np.ndarray):
 
 def test_aggregation_check_rejects_a_played_point_off_the_average(box1):
     pts = np.array([[-0.5], [0.5]])
-    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0) for _ in pts])
+    slots = MetaSlots([MetaSlot(gamma=1.0) for _ in pts])
     ar.algorithms.MetaAggregator(box1, 1.0, check=True).point(slots, pts)
     meta = ar.algorithms.MetaAggregator(box1, 1.0, check=True)
     with pytest.raises(ar.InvariantViolation) as exc:
@@ -347,7 +351,7 @@ def test_aggregation_check_rejects_a_played_point_off_the_average(box1):
 
 def test_weight_simplex_check_rejects_weights_off_the_simplex(box1, monkeypatch):
     pts = np.array([[-0.5], [0.5]])
-    slots = ar.MetaSlots([ar.MetaSlot(gamma=1.0) for _ in pts])
+    slots = MetaSlots([MetaSlot(gamma=1.0) for _ in pts])
 
     def off_simplex(slots):
         return np.full(len(slots), 0.5 + 1e-9)

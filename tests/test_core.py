@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import adaregret as ar
-from adaregret.core import InputError
+from adaregret.core import InputError, check_loss_on_domain, exp_concave_beta, fd_gradient
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +270,7 @@ def test_grad_matches_finite_differences(rng):
                 if abs(float(np.dot(spec.params["x"], w)) - spec.params["y"]) < 1e-3:
                     continue
             g = spec.grad(w)
-            g_fd = ar.fd_gradient(spec.value, w)
+            g_fd = fd_gradient(spec.value, w)
             assert np.allclose(g, g_fd, rtol=1e-5, atol=1e-6), spec.family
 
 
@@ -294,9 +294,9 @@ def test_loss_values_hand_checked():
 
 def test_exp_concave_beta_examples():
     # [DERIVED] beta = 0.5 * min(1/(4GD), alpha)
-    assert ar.exp_concave_beta(1.0, 1.0, 1.0) == pytest.approx(0.125)
-    assert ar.exp_concave_beta(1.0, 1.0, 0.1) == pytest.approx(0.05)
-    assert ar.exp_concave_beta(2.0, 2.0, 10.0) == pytest.approx(0.03125)
+    assert exp_concave_beta(1.0, 1.0, 1.0) == pytest.approx(0.125)
+    assert exp_concave_beta(1.0, 1.0, 0.1) == pytest.approx(0.05)
+    assert exp_concave_beta(2.0, 2.0, 10.0) == pytest.approx(0.03125)
 
 
 def test_check_loss_accepts_valid(rng, ball2):
@@ -307,13 +307,13 @@ def test_check_loss_accepts_valid(rng, ball2):
         0.2,
         4.0,
     )
-    ar.check_loss_on_domain(spec, ball2, rng, samples=50)
+    check_loss_on_domain(spec, ball2, rng, samples=50)
 
 
 def test_check_loss_rejects_bad_gradient_bound(rng, ball2):
     spec = ar.LossSpec("linear", {"g": np.array([3.0, 0.0])}, "convex", None, 1.0)
     with pytest.raises(ar.InvariantViolation):
-        ar.check_loss_on_domain(spec, ball2, rng, samples=20)
+        check_loss_on_domain(spec, ball2, rng, samples=20)
 
 
 def test_check_loss_rejects_overdeclared_curvature(rng, ball2):
@@ -325,7 +325,7 @@ def test_check_loss_rejects_overdeclared_curvature(rng, ball2):
         1.0,
     )
     with pytest.raises(ar.InvariantViolation):
-        ar.check_loss_on_domain(spec, ball2, rng, samples=20)
+        check_loss_on_domain(spec, ball2, rng, samples=20)
 
 
 def test_loss_spec_validation():

@@ -7,13 +7,30 @@ import pytest
 from scipy.optimize import minimize
 
 import adaregret as ar
+from adaregret.core import fd_gradient, fd_hessian
 from adaregret.experts import (
+    SURROGATE_GAMMA,
+    OGDStronglyConvex,
+    ONSExpert,
+    ProxGradExpert,
+    SurrogateStack,
     _prox_onto_ball,
     a_norm_project,
+    eta_grid,
     prox_onto,
     prox_quadratic_argmin,
+    surrogate_exp_eval,
+    surrogate_sc_eval,
 )
 from adaregret.harness import _WindowEval
+from adaregret.meta import (
+    amlp_update,
+    amlp_weights,
+    normalized_loss,
+    oamlp_update,
+    oamlp_weights,
+    optimism_fixed_point,
+)
 from tests.conftest import aggregate_quadratic
 
 
@@ -23,14 +40,14 @@ from tests.conftest import aggregate_quadratic
 
 def test_ogd_fixed_single_step(box1):
     # [TRIVIAL] w1 = project(w0 - (D / (G sqrt(L))) g)
-    exp = ar.ProxGradExpert(box1, G=1.0, step=box1.diameter / (1.0 * math.sqrt(16)))
+    exp = ProxGradExpert(box1, G=1.0, step=box1.diameter / (1.0 * math.sqrt(16)))
     assert exp.point() == pytest.approx([0.0])
     exp.update(np.array([1.0]), exp.point(), 1)
     assert exp.point() == pytest.approx([-2.0 / 4.0])
 
 
 def test_ogd_diminishing_steps(box1):
-    exp = ar.ProxGradExpert(box1, G=2.0)
+    exp = ProxGradExpert(box1, G=2.0)
     w = 0.0
     for t in range(1, 6):
         g = 0.5 if t % 2 else -0.25
@@ -41,7 +58,7 @@ def test_ogd_diminishing_steps(box1):
 
 def test_ogd_strongly_convex_steps(box1):
     lam = 0.5
-    exp = ar.OGDStronglyConvex(box1, moduli=lam)
+    exp = OGDStronglyConvex(box1, moduli=lam)
     w = 0.0
     for t in range(1, 6):
         g = 0.3
@@ -53,14 +70,14 @@ def test_ogd_strongly_convex_steps(box1):
 def test_ons_hand_example(box1):
     # [DERIVED] eps = 1/(gamma^2 D^2) = 16; A after one step = 17;
     # w1 = 0 - (1/17)/0.125 = -8/17, feasible so projection is identity.
-    ons = ar.ONSExpert(box1, curvatures=0.125)
+    ons = ONSExpert(box1, curvatures=0.125)
     ons.update(np.array([1.0]), ons.point(), 1)
     assert ons.point() == pytest.approx([-8.0 / 17.0], abs=1e-12)
 
 
 def test_ons_projection_engages(rng):
     dom = ar.Domain.ball(np.zeros(2), 0.25)
-    ons = ar.ONSExpert(dom, curvatures=0.5)
+    ons = ONSExpert(dom, curvatures=0.5)
     for _ in range(20):
         g = rng.uniform(-1, 1, size=2)
         ons.update(g, ons.point(), 1)
@@ -276,9 +293,9 @@ def test_quadratic_comparator_bits_match_previous_loop(d, kind):
 
 
 def test_eta_grid_shape():
-    grid = ar.eta_grid(1, 1.0, 1.0)
+    grid = eta_grid(1, 1.0, 1.0)
     assert list(grid) == [0.2]
-    grid = ar.eta_grid(16, 2.0, 1.0)
+    grid = eta_grid(16, 2.0, 1.0)
     assert len(grid) == 1 + math.ceil(0.5 * math.log2(16))
     assert max(grid) == pytest.approx(1.0 / (5 * 2.0 * 1.0))
 
@@ -286,7 +303,7 @@ def test_eta_grid_shape():
 def test_eta_grid_two_approximation(rng):
     D, G = 2.0, 1.5
     for length in (1, 2, 3, 16, 100, 1 << 16):
-        grid = sorted(ar.eta_grid(length, D, G))
+        grid = sorted(eta_grid(length, D, G))
         lo, hi = grid[0], grid[-1]
         assert hi == pytest.approx(1.0 / (5 * D * G))
         for _ in range(100):
@@ -311,7 +328,7 @@ def test_exp_surrogate_one_exp_concave(rng):
         eta = float(rng.uniform(0.02, 1.0)) / (5 * D * G)
         anchor = rng.uniform(-D / 2, D / 2, size=d) / math.sqrt(d)
         w = rng.uniform(-D / 2, D / 2, size=d) / math.sqrt(d)
-        _, grad = ar.surrogate_exp_eval(eta, g, anchor, w)
+        _, grad = surrogate_exp_eval(eta, g, anchor, w)
         hess = 2.0 * eta * eta * np.outer(g, g)
         slack = float(np.linalg.eigvalsh(hess - np.outer(grad, grad))[0])
         assert slack >= -1e-9
@@ -323,8 +340,8 @@ def test_exp_surrogate_matches_finite_differences(rng):
     eta = 0.1
     for _ in range(20):
         w = rng.uniform(-0.8, 0.8, size=2)
-        val, grad = ar.surrogate_exp_eval(eta, g, anchor, w)
-        fd = ar.fd_gradient(lambda z: ar.surrogate_exp_eval(eta, g, anchor, z)[0], w)
+        val, grad = surrogate_exp_eval(eta, g, anchor, w)
+        fd = fd_gradient(lambda z: surrogate_exp_eval(eta, g, anchor, z)[0], w)
         assert np.allclose(grad, fd, atol=1e-7)
 
 
@@ -335,12 +352,12 @@ def test_sc_surrogate_hessian_identity(rng):
     anchor = np.array([0.0, 0.3])
     for eta in (0.05, 0.1, 1.0 / (5 * 2.0 * G)):
         w = rng.uniform(-0.5, 0.5, size=2)
-        hess = ar.fd_hessian(
-            lambda z: ar.surrogate_sc_eval(eta, G, g, anchor, z)[0], w
+        hess = fd_hessian(
+            lambda z: surrogate_sc_eval(eta, G, g, anchor, z)[0], w
         )
         assert np.allclose(hess, 2.0 * eta * eta * G * G * np.eye(2), atol=1e-6)
-        _, grad = ar.surrogate_sc_eval(eta, G, g, anchor, w)
-        fd = ar.fd_gradient(lambda z: ar.surrogate_sc_eval(eta, G, g, anchor, z)[0], w)
+        _, grad = surrogate_sc_eval(eta, G, g, anchor, w)
+        fd = fd_gradient(lambda z: surrogate_sc_eval(eta, G, g, anchor, z)[0], w)
         assert np.allclose(grad, fd, atol=1e-7)
 
 
@@ -348,13 +365,13 @@ def test_surrogate_zero_at_anchor():
     # [TRIVIAL] both surrogates vanish at w = anchor
     g = np.array([0.3, 0.1])
     anchor = np.array([0.2, -0.4])
-    assert ar.surrogate_exp_eval(0.1, g, anchor, anchor)[0] == 0.0
-    assert ar.surrogate_sc_eval(0.1, 1.0, g, anchor, anchor)[0] == 0.0
+    assert surrogate_exp_eval(0.1, g, anchor, anchor)[0] == 0.0
+    assert surrogate_sc_eval(0.1, 1.0, g, anchor, anchor)[0] == 0.0
 
 
 def test_surrogate_gamma_constant():
     # [DERIVED] exp_concave_beta(2/5, 1, 1) = 0.5 * min(1/(4*2/5), 1) = 5/16
-    assert ar.SURROGATE_GAMMA == pytest.approx(5.0 / 16.0)
+    assert SURROGATE_GAMMA == pytest.approx(5.0 / 16.0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,7 +390,7 @@ def test_fobos_step_matches_grid_oracle(rng, box1):
         w0 = float(rng.uniform(-1, 1))
         g = float(rng.uniform(-1, 1))
         step = float(rng.uniform(0.05, 0.8))
-        exp = ar.ProxGradExpert(box1, G=1.0, step=step, reg=reg)
+        exp = ProxGradExpert(box1, G=1.0, step=step, reg=reg)
         exp.W[0] = w0
         exp.update(np.array([g]), exp.point(), t_local=1)
         # [DERIVED] grid oracle of the proximal objective followed by the
@@ -388,7 +405,7 @@ def test_fobos_step_matches_grid_oracle(rng, box1):
 
 def test_fobos_diminishing_matches_recursion(box1):
     reg = ar.Regularizer("l1", 0.1)
-    exp = ar.ProxGradExpert(box1, G=2.0, reg=reg)
+    exp = ProxGradExpert(box1, G=2.0, reg=reg)
     w = 0.0
     for t in range(1, 8):
         g = 0.4 if t % 2 else -0.3
@@ -404,7 +421,7 @@ def test_composite_sc_expert_prox_scaling(box1):
     # update is a closed-form soft-threshold step.
     reg = ar.Regularizer("l1", 0.02)
     eta = 0.5
-    exp = ar.SurrogateStack(box1, G=1.0, etas=[eta], reg=reg)  # row 1: comp-sc[eta]
+    exp = SurrogateStack(box1, G=1.0, etas=[eta], reg=reg)  # row 1: comp-sc[eta]
     exp.update(np.array([0.3]), anchor=np.array([0.0]), t_local=1)
     step = 1.0 / (2.0 * eta * eta * 1.0)
     z = 0.0 - step * (eta * 0.3)
@@ -431,15 +448,15 @@ def test_composite_step_on_off_centre_ball_matches_slsqp(expert, d, reg_kind):
         g /= float(np.linalg.norm(g))
         if expert == "fobos":
             step = float(rng.uniform(0.5, 2.0))
-            exp = ar.ProxGradExpert(dom, G=1.0, step=step, reg=reg, tag="fobos")
+            exp = ProxGradExpert(dom, G=1.0, step=step, reg=reg, tag="fobos")
             anchor = w0
             x, scale = w0 - step * g, step
             exp.W[0] = w0
         else:
             eta = 1.0 / (5.0 * dom.diameter)
-            exp = ar.SurrogateStack(dom, G=1.0, etas=[eta], reg=reg)  # row 1: comp-sc[eta]
+            exp = SurrogateStack(dom, G=1.0, etas=[eta], reg=reg)  # row 1: comp-sc[eta]
             anchor = dom.sample(rng)
-            _, gs = ar.surrogate_sc_eval(eta, 1.0, g, anchor, w0)
+            _, gs = surrogate_sc_eval(eta, 1.0, g, anchor, w0)
             step = 1.0 / (2.0 * eta**2)
             x, scale = w0 - step * gs, step * eta
             exp.W[1] = w0
@@ -463,13 +480,13 @@ def test_prox_quadratic_argmin_one_dim_grid(box1, rng):
         got = prox_quadratic_argmin(
             box1,
             np.array([[a]]),
-            ar.SURROGATE_GAMMA,
+            SURROGATE_GAMMA,
             np.array([w_ref]),
             np.array([lin]),
             reg,
             eta,
         )
-        gamma = ar.SURROGATE_GAMMA
+        gamma = SURROGATE_GAMMA
         want = _grid_argmin(
             lambda z: lin * z + 0.5 * gamma * a * (z - w_ref) ** 2 + eta * 0.4 * abs(z)
         )
@@ -479,7 +496,7 @@ def test_prox_quadratic_argmin_one_dim_grid(box1, rng):
 def test_prox_ons_expert_one_dim_against_grid(box1):
     reg = ar.Regularizer("l1", 0.2)
     eta = 0.1
-    exp = ar.SurrogateStack(box1, 1.0, [eta], reg)  # row 0: prox-ons[eta]
+    exp = SurrogateStack(box1, 1.0, [eta], reg)  # row 0: prox-ons[eta]
     rng = np.random.default_rng(5)
     for t in range(1, 15):
         g = np.array([float(rng.uniform(-1, 1))])
@@ -487,9 +504,9 @@ def test_prox_ons_expert_one_dim_against_grid(box1):
         w_prev = exp.points()[0].copy()
         A_prev = exp.A[0].copy()
         exp.update(g, anchor, t)
-        _, gs = ar.surrogate_exp_eval(eta, g, anchor, w_prev)
+        _, gs = surrogate_exp_eval(eta, g, anchor, w_prev)
         A = A_prev + np.outer(gs, gs)
-        gamma = ar.SURROGATE_GAMMA
+        gamma = SURROGATE_GAMMA
         want = _grid_argmin(
             lambda z: float(gs[0]) * z
             + 0.5 * gamma * float(A[0, 0]) * (z - float(w_prev[0])) ** 2
@@ -502,13 +519,13 @@ def test_expert_tags_distinct(box1):
     reg = ar.Regularizer("l1", 0.1)
     # the nine experts as the learners build them; meta.csv prints these tags
     tags = {
-        *ar.ProxGradExpert(box1, 1.0, step=0.5).tags,
-        *ar.ProxGradExpert(box1, 1.0, tag="ogd-dim").tags,
-        *ar.OGDStronglyConvex(box1, 0.5).tags,
-        *ar.ONSExpert(box1, 0.25).tags,
-        *ar.SurrogateStack(box1, 1.0, [0.1]).tags,  # sur-exp, sur-sc
-        *ar.ProxGradExpert(box1, 1.0, step=0.1, reg=reg, tag="fobos").tags,
-        *ar.SurrogateStack(box1, 1.0, [0.1], reg).tags,  # prox-ons, comp-sc
+        *ProxGradExpert(box1, 1.0, step=0.5).tags,
+        *ProxGradExpert(box1, 1.0, tag="ogd-dim").tags,
+        *OGDStronglyConvex(box1, 0.5).tags,
+        *ONSExpert(box1, 0.25).tags,
+        *SurrogateStack(box1, 1.0, [0.1]).tags,  # sur-exp, sur-sc
+        *ProxGradExpert(box1, 1.0, step=0.1, reg=reg, tag="fobos").tags,
+        *SurrogateStack(box1, 1.0, [0.1], reg).tags,  # prox-ons, comp-sc
     }
     assert len(tags) == 9
     assert {t.split("[")[0] for t in tags} == {
@@ -555,7 +572,7 @@ def _prox_grad(eta_of_t, reg=None):
 def _ons(curvature, eta=None):
     def step(r, g, anchor, t):
         if eta is not None:
-            _, g = ar.surrogate_exp_eval(eta, g, anchor, r.w)
+            _, g = surrogate_exp_eval(eta, g, anchor, r.w)
         r.A += np.outer(g, g)
         r.w = a_norm_project(r.dom, r.A, r.w - np.linalg.solve(r.A, g) / curvature)
 
@@ -572,16 +589,16 @@ def _ogd_sc(lam):
 
 def _prox_ons(reg, eta):
     def step(r, g, anchor, t):
-        _, gs = ar.surrogate_exp_eval(eta, g, anchor, r.w)
+        _, gs = surrogate_exp_eval(eta, g, anchor, r.w)
         r.A += np.outer(gs, gs)
-        r.w = prox_quadratic_argmin(r.dom, r.A, ar.SURROGATE_GAMMA, r.w, gs, reg, eta)
+        r.w = prox_quadratic_argmin(r.dom, r.A, SURROGATE_GAMMA, r.w, gs, reg, eta)
 
     return step
 
 
 def _sc(eta, G, reg=None):
     def step(r, g, anchor, t):
-        _, gs = ar.surrogate_sc_eval(eta, G, g, anchor, r.w)
+        _, gs = surrogate_sc_eval(eta, G, g, anchor, r.w)
         s = 1.0 / (2.0 * eta**2 * G**2 * t)
         r.w = _exact_prox(r.dom, reg, r.w - s * gs, s * eta)
 
@@ -639,11 +656,11 @@ def _rows_case(expert, refs, per_row):
 
 
 _TWO_ONS = (
-    lambda d: ar.ONSExpert(d, [0.25, 0.8]),
+    lambda d: ONSExpert(d, [0.25, 0.8]),
     lambda d: [_Recursion(d, _ons(c), curvature=c) for c in (0.25, 0.8)],
 )
 _TWO_OGD_SC = (
-    lambda d: ar.OGDStronglyConvex(d, [0.5, 2.0]),
+    lambda d: OGDStronglyConvex(d, [0.5, 2.0]),
     lambda d: [_Recursion(d, _ogd_sc(lam)) for lam in (0.5, 2.0)],
 )
 
@@ -660,23 +677,23 @@ class _EnsembleLoop:
     def point(self):
         self.pts = np.concatenate([e.points() for e in self.experts])
         if self.reg is None:
-            self.p = ar.amlp_weights(self.slots)
+            self.p = amlp_weights(self.slots)
         else:
             self.r = np.array([self.reg.value(row) for row in self.pts])
-            self.hints, *_ = ar.optimism_fixed_point(
+            self.hints, *_ = optimism_fixed_point(
                 self.slots, self.r, self.G * self.D, self.C, self.fp_tol
             )
-            self.p = ar.oamlp_weights(self.slots, self.hints)
+            self.p = oamlp_weights(self.slots, self.hints)
         self.w = self.p @ self.pts
         return self.w
 
     def update(self, g, anchor, t):
         if self.reg is None:
-            ells = np.array([ar.normalized_loss(g, self.w, x, self.G, self.D) for x in self.pts])
-            ar.amlp_update(self.slots, float(self.p @ ells), ells)
+            ells = np.array([normalized_loss(g, self.w, x, self.G, self.D) for x in self.pts])
+            amlp_update(self.slots, float(self.p @ ells), ells)
         else:
             ells = ((self.pts - self.w) @ g + self.r) / (self.G * self.D)
-            ar.oamlp_update(self.slots, float(self.p @ ells), ells, self.hints)
+            oamlp_update(self.slots, float(self.p @ ells), ells, self.hints)
         for e in self.experts:
             e.update(g, self.w, t)
 
@@ -687,24 +704,24 @@ _G = 1.0
 _PROTOCOL_CASES = {
     # name: dom -> (expert, reference)
     "ogd": lambda d: (
-        ar.ProxGradExpert(d, _G, step=0.3),
+        ProxGradExpert(d, _G, step=0.3),
         _Recursion(d, _prox_grad(lambda t: 0.3)),
     ),
     "ogd-dim": lambda d: (
-        ar.ProxGradExpert(d, _G),
+        ProxGradExpert(d, _G),
         _Recursion(d, _prox_grad(lambda t: d.diameter / _G / math.sqrt(t))),
     ),
     "fobos-l1": lambda d: (
-        ar.ProxGradExpert(d, _G, step=0.3, reg=_L1),
+        ProxGradExpert(d, _G, step=0.3, reg=_L1),
         _Recursion(d, _prox_grad(lambda t: 0.3, _L1)),
     ),
     # a zero regularizer skips the prox, whose result was a copy of its input
     "fobos-dim-zero": lambda d: (
-        ar.ProxGradExpert(d, _G, reg=_ZERO),
+        ProxGradExpert(d, _G, reg=_ZERO),
         _Recursion(d, _prox_grad(lambda t: d.diameter / _G / math.sqrt(t), _ZERO)),
     ),
-    "ogd-sc": lambda d: (ar.OGDStronglyConvex(d, 0.5), _Recursion(d, _ogd_sc(0.5))),
-    "ons": lambda d: (ar.ONSExpert(d, 0.25), _Recursion(d, _ons(0.25), curvature=0.25)),
+    "ogd-sc": lambda d: (OGDStronglyConvex(d, 0.5), _Recursion(d, _ogd_sc(0.5))),
+    "ons": lambda d: (ONSExpert(d, 0.25), _Recursion(d, _ons(0.25), curvature=0.25)),
     # two-row experts, each row against its own recursion, with one shared
     # gradient and with one gradient per row
     "ons-2": _rows_case(*_TWO_ONS, per_row=False),
@@ -712,29 +729,29 @@ _PROTOCOL_CASES = {
     "ogd-sc-2": _rows_case(*_TWO_OGD_SC, per_row=False),
     "ogd-sc-2-per-row": _rows_case(*_TWO_OGD_SC, per_row=True),
     "sur-exp": lambda d: (
-        _StackRow(ar.SurrogateStack(d, _G, [0.1]), 0),
-        _Recursion(d, _ons(ar.SURROGATE_GAMMA, eta=0.1), curvature=ar.SURROGATE_GAMMA),
+        _StackRow(SurrogateStack(d, _G, [0.1]), 0),
+        _Recursion(d, _ons(SURROGATE_GAMMA, eta=0.1), curvature=SURROGATE_GAMMA),
     ),
     "prox-ons": lambda d: (
-        _StackRow(ar.SurrogateStack(d, _G, [0.1], _L1), 0),
-        _Recursion(d, _prox_ons(_L1, 0.1), curvature=ar.SURROGATE_GAMMA),
+        _StackRow(SurrogateStack(d, _G, [0.1], _L1), 0),
+        _Recursion(d, _prox_ons(_L1, 0.1), curvature=SURROGATE_GAMMA),
     ),
     # with a zero regularizer the proximal Newton step is the A-norm
     # projection of the Newton target, the sur-exp recursion
     "prox-ons-zero": lambda d: (
-        _StackRow(ar.SurrogateStack(d, _G, [0.1], _ZERO), 0),
-        _Recursion(d, _ons(ar.SURROGATE_GAMMA, eta=0.1), curvature=ar.SURROGATE_GAMMA),
+        _StackRow(SurrogateStack(d, _G, [0.1], _ZERO), 0),
+        _Recursion(d, _ons(SURROGATE_GAMMA, eta=0.1), curvature=SURROGATE_GAMMA),
     ),
     "sur-sc": lambda d: (
-        _StackRow(ar.SurrogateStack(d, _G, [0.1]), 1),
+        _StackRow(SurrogateStack(d, _G, [0.1]), 1),
         _Recursion(d, _sc(0.1, _G)),
     ),
     "comp-sc-l1": lambda d: (
-        _StackRow(ar.SurrogateStack(d, _G, [0.1], _L1), 1),
+        _StackRow(SurrogateStack(d, _G, [0.1], _L1), 1),
         _Recursion(d, _sc(0.1, _G, _L1)),
     ),
     "comp-sc-zero": lambda d: (
-        _StackRow(ar.SurrogateStack(d, _G, [0.1], _ZERO), 1),
+        _StackRow(SurrogateStack(d, _G, [0.1], _ZERO), 1),
         _Recursion(d, _sc(0.1, _G, _ZERO)),
     ),
     "universal": lambda d: (
@@ -798,13 +815,13 @@ class _SurExpRef:
 
     def __init__(self, domain, eta, reg):
         self.domain, self.eta, self.reg = domain, eta, reg
-        self.curvature = ar.SURROGATE_GAMMA
+        self.curvature = SURROGATE_GAMMA
         self.w = domain.project(domain.center)
         eps = 1.0 / (self.curvature**2 * domain.diameter**2)
         self.A = eps * np.eye(domain.dim)
 
     def update(self, g, anchor, t_local):
-        _, g = ar.surrogate_exp_eval(self.eta, g, anchor, self.w)
+        _, g = surrogate_exp_eval(self.eta, g, anchor, self.w)
         self.A += np.outer(g, g)
         if self.reg is None or self.reg.is_zero:
             target = self.w - np.linalg.solve(self.A, g) / self.curvature
@@ -824,7 +841,7 @@ class _SurScRef:
         self.w = domain.project(domain.center)
 
     def update(self, g, anchor, t_local):
-        _, gs = ar.surrogate_sc_eval(self.eta, self.G, g, anchor, self.w)
+        _, gs = surrogate_sc_eval(self.eta, self.G, g, anchor, self.w)
         step = 1.0 / (2.0 * self.eta**2 * self.G**2 * t_local)
         self.w = prox_onto(self.domain, self.reg, self.w - step * gs, step * self.eta)
 
@@ -848,8 +865,8 @@ def test_surrogate_stack_matches_per_expert_recursions(d, kind, reg_kind):
     dom = _stack_domains(d)[kind]
     reg = None if reg_kind == "none" else ar.Regularizer(reg_kind, 0.3)
     G = 1.0
-    etas = [float(e) for e in ar.eta_grid(64, dom.diameter, G)]
-    stack = ar.SurrogateStack(dom, G, etas, reg)
+    etas = [float(e) for e in eta_grid(64, dom.diameter, G)]
+    stack = SurrogateStack(dom, G, etas, reg)
     refs = [r for eta in etas for r in (_SurExpRef(dom, eta, reg), _SurScRef(dom, eta, G, reg))]
     ons, sc = ("sur-exp", "sur-sc") if reg is None else ("prox-ons", "comp-sc")
     assert stack.tags == [f"{k}[{eta!r}]" for eta in etas for k in (ons, sc)]
@@ -874,7 +891,7 @@ def test_one_dim_newton_rows_match_the_a_norm_projection(kind):
     # as proximal_gradient's one step from the Euclidean projection; the
     # Euclidean projection alone is off by an ulp on some balls
     rng = np.random.default_rng(3 + len(kind))
-    beta = ar.SURROGATE_GAMMA
+    beta = SURROGATE_GAMMA
     for _ in range(3000):
         c = rng.uniform(-2.0, 2.0, size=1) * (rng.random() < 0.5)
         r = float(10.0 ** rng.uniform(-2.0, 0.5))
@@ -882,7 +899,7 @@ def test_one_dim_newton_rows_match_the_a_norm_projection(kind):
             dom = ar.Domain.ball(c, r)
         else:
             dom = ar.Domain.box(c - r, c + r * rng.uniform(0.5, 2.0))
-        stack = ar.SurrogateStack(dom, 1.0, [0.1, 0.05, 0.025])
+        stack = SurrogateStack(dom, 1.0, [0.1, 0.05, 0.025])
         stack.A = 10.0 ** rng.uniform(-1.0, 4.0, size=(3, 1, 1))
         w = dom.project_rows(rng.uniform(-3.0, 3.0, size=(3, 1)))
         sides = np.sign(rng.standard_normal(size=(3, 1)))

@@ -7,6 +7,21 @@ import numpy as np
 import pytest
 
 import adaregret as ar
+from adaregret.harness import (
+    ALGORITHM_BOUNDS,
+    bound_constant_a,
+    bound_constant_ahat,
+    bound_constant_b,
+    bound_constant_c,
+    bound_constant_h,
+    bound_constant_xi,
+    comparator_dominance_check,
+    composite_expert_count,
+    composite_phis,
+    second_order_interval_check,
+    stream_rows,
+)
+from adaregret.intervals import iter_gc_intervals
 from tests.conftest import aggregate_quadratic, make_absolute_stream
 
 
@@ -29,8 +44,8 @@ def test_stream_reproducibility(ball2):
     a = ar.generate_stream(ar.StreamConfig(**cfg, seed=7))
     b = ar.generate_stream(ar.StreamConfig(**cfg, seed=7))
     c = ar.generate_stream(ar.StreamConfig(**cfg, seed=8))
-    assert ar.stream_rows(a) == ar.stream_rows(b)
-    assert ar.stream_rows(a) != ar.stream_rows(c)
+    assert stream_rows(a) == stream_rows(b)
+    assert stream_rows(a) != stream_rows(c)
     assert len(a) == 24 and all(isinstance(e, ar.LossSpec) for e in a)
 
 
@@ -751,7 +766,7 @@ def test_dominance_probes_match_one_at_a_time(d, kind):
         ev = _WindowEval(events[p - 1 : q], reg)
         want = min(ev.value_sum(w) for w in probes)
         for stream in (None, _StreamEval(events, reg)):
-            got = ar.comparator_dominance_check(
+            got = comparator_dominance_check(
                 events, p, q, dom, -1e9, reg=reg, candidates=candidates, stream=stream
             )
             assert got == want
@@ -773,11 +788,11 @@ def test_dominance_check(box1):
     events = make_absolute_stream(8, box1, noise=0.3, seed=5)
     _, val = ar.offline_comparator(events, 1, 8, box1)
     # the true optimum dominates every probe
-    low = ar.comparator_dominance_check(events, 1, 8, box1, val, seed=0)
+    low = comparator_dominance_check(events, 1, 8, box1, val, seed=0)
     assert low >= val - 1e-12
     # an inflated "comparator value" is beaten by some probe
     with pytest.raises(ar.InvariantViolation) as exc:
-        ar.comparator_dominance_check(events, 1, 8, box1, val + 0.5, seed=0)
+        comparator_dominance_check(events, 1, 8, box1, val + 0.5, seed=0)
     assert exc.value.name == "comparator-optimality"
 
 
@@ -871,7 +886,7 @@ def test_gc_interval_regret_covers_schedule():
     params = {"G": 1.0, "D": dom.diameter, "d": 1, "T": 64}
     fn = ar.bound_fn_for("uma2-surrogate", "convex", params)
     rows = ar.gc_interval_regret(events, pts, dom, bound_fn=fn)
-    schedule = list(ar.iter_gc_intervals(64))
+    schedule = list(iter_gc_intervals(64))
     assert len(rows) == len(schedule) == 121
     assert {(r.p, r.q) for r in rows} == {(iv.start, iv.end) for iv in schedule}
     for row in rows:
@@ -880,7 +895,7 @@ def test_gc_interval_regret_covers_schedule():
 
 def test_second_order_check_on_learner_run():
     dom, events, pts = _short_run(horizon=64)
-    rows = ar.second_order_interval_check(events, pts, dom, G=1.0)
+    rows = second_order_interval_check(events, pts, dom, G=1.0)
     assert len(rows) == 121
     for (r, s, lhs, rhs_grad, rhs_norm, slack) in rows:
         assert lhs <= rhs_grad + 1e-9
@@ -909,15 +924,15 @@ def test_second_order_check_matches_per_interval_comparators(d, monkeypatch):
         return seen[(p, q)], math.nan
 
     monkeypatch.setattr(harness, "offline_comparator", recording)
-    rows = ar.second_order_interval_check(events, pts, dom, G=1.0)
+    rows = second_order_interval_check(events, pts, dom, G=1.0)
     monkeypatch.undo()
     assert [row[:2] for row in rows] == [
-        (iv.start, iv.end) for iv in ar.iter_gc_intervals(len(events))
+        (iv.start, iv.end) for iv in iter_gc_intervals(len(events))
     ]
     for row in rows:
         w_ref, _ = ar.offline_comparator(events, row[0], row[1], dom)
         assert seen[row[:2]].tolist() == w_ref.tolist()
-        alone = ar.second_order_interval_check(events, pts, dom, G=1.0, reference=w_ref)
+        alone = second_order_interval_check(events, pts, dom, G=1.0, reference=w_ref)
         assert row == next(r for r in alone if r[:2] == row[:2])
 
 
@@ -927,19 +942,19 @@ def test_second_order_check_matches_per_interval_comparators(d, monkeypatch):
 
 def test_bound_constants_frozen():
     # [DERIVED] all evaluated at the interval [5, 68] with d=2, T=512
-    assert ar.bound_constant_b(5, 68) == 14
-    assert ar.bound_constant_c(68) == pytest.approx(157.20495634355368, rel=1e-14)
-    assert ar.bound_constant_a(5, 68, 2) == pytest.approx(41.07099963075236, rel=1e-14)
-    assert ar.bound_constant_ahat(5, 68) == pytest.approx(44.46012216924809, rel=1e-14)
-    assert ar.bound_constant_xi(5, 68) == pytest.approx(4.68213122712422, rel=1e-14)
-    assert ar.bound_constant_h(68, 512) == pytest.approx(148.48449119553058, rel=1e-14)
+    assert bound_constant_b(5, 68) == 14
+    assert bound_constant_c(68) == pytest.approx(157.20495634355368, rel=1e-14)
+    assert bound_constant_a(5, 68, 2) == pytest.approx(41.07099963075236, rel=1e-14)
+    assert bound_constant_ahat(5, 68) == pytest.approx(44.46012216924809, rel=1e-14)
+    assert bound_constant_xi(5, 68) == pytest.approx(4.68213122712422, rel=1e-14)
+    assert bound_constant_h(68, 512) == pytest.approx(148.48449119553058, rel=1e-14)
 
 
 def test_composite_constants_frozen():
-    assert ar.composite_expert_count(1) == 3
-    assert ar.composite_expert_count(16) == 7
-    assert ar.composite_expert_count(1024) == 13
-    phi1, phi2, phi3, _ = ar.composite_phis(512)
+    assert composite_expert_count(1) == 3
+    assert composite_expert_count(16) == 7
+    assert composite_expert_count(1024) == 13
+    phi1, phi2, phi3, _ = composite_phis(512)
     assert phi1 == pytest.approx(9.418849316794887, rel=1e-14)
     assert phi2 == pytest.approx(49.627307646651765, rel=1e-14)
     assert phi3 == pytest.approx(8.7837800880564, rel=1e-13)
@@ -951,7 +966,7 @@ def test_composite_expert_count_matches_construction(box1):
     reg = ar.Regularizer("l1", 0.1)
     for horizon in (1, 2, 16, 100, 1024):
         core = UMSCompCore(box1, 1.0, reg, horizon, fp_tol=1e-3)
-        assert len(core.slots) == ar.composite_expert_count(horizon)
+        assert len(core.slots) == composite_expert_count(horizon)
 
 
 # [DERIVED] independent transcription of each bound formula, evaluated at
@@ -997,7 +1012,7 @@ def test_bound_aliases_agree():
             assert ar.theorem_bound_rhs(alias, ftype, params, 5, 68) == ar.theorem_bound_rhs(
                 tag, ftype, params, 5, 68
             )
-    assert ar.ALGORITHM_BOUNDS == {
+    assert ALGORITHM_BOUNDS == {
         "uma2-grid": "T1",
         "uma2-surrogate": "T2",
         "uma3": "T3",

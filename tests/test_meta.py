@@ -6,12 +6,26 @@ import pytest
 
 import adaregret as ar
 from adaregret.core import InputError
-from adaregret.meta import OPTIMISTIC_CAP, PLAIN_CAP, MetaSlot
+from adaregret.meta import (
+    OPTIMISTIC_CAP,
+    PLAIN_CAP,
+    MetaSlot,
+    MetaSlots,
+    amlp_update,
+    amlp_weights,
+    gamma_for_end,
+    meta_lemma_gamma_bar,
+    meta_lemma_rhs,
+    normalized_loss,
+    oamlp_update,
+    oamlp_weights,
+    optimism_fixed_point,
+)
 
 
 def _fresh_slots(n, end=1000):
-    return ar.MetaSlots(
-        ar.MetaSlot(gamma=ar.gamma_for_end(end), tag=f"e{i}")
+    return MetaSlots(
+        MetaSlot(gamma=gamma_for_end(end), tag=f"e{i}")
         for i in range(n)
     )
 
@@ -71,12 +85,12 @@ def test_plain_meta_matches_oracle_1000_rounds():
     slots = _fresh_slots(n)
     oracle = _PlainOracle(n, slots.gamma[0])
     for _ in range(1000):
-        p = ar.amlp_weights(slots)
+        p = amlp_weights(slots)
         p_oracle = oracle.weights()
         assert np.allclose(p, p_oracle, rtol=1e-10, atol=1e-13)
         ells = rng.uniform(0.0, 1.0, size=n)
         ell_meta = float(p @ ells)
-        ar.amlp_update(slots, ell_meta, ells)
+        amlp_update(slots, ell_meta, ells)
         oracle.update(ell_meta, ells)
 
 
@@ -87,12 +101,12 @@ def test_optimistic_meta_matches_oracle_1000_rounds():
     oracle = _OptimisticOracle(n, slots.gamma[0])
     for _ in range(1000):
         hints = rng.uniform(0.0, 1.0, size=n)
-        p = ar.oamlp_weights(slots, hints)
+        p = oamlp_weights(slots, hints)
         p_oracle = oracle.weights(hints)
         assert np.allclose(p, p_oracle, rtol=1e-10, atol=1e-13)
         ells = rng.uniform(0.0, 1.0, size=n)
         ell_meta = float(p @ ells)
-        ar.oamlp_update(slots, ell_meta, ells, hints)
+        oamlp_update(slots, ell_meta, ells, hints)
         oracle.update(ell_meta, ells, hints)
 
 
@@ -106,7 +120,7 @@ def test_weights_simplex_under_births_and_deaths():
             slots.extend(
                 [
                     MetaSlot(
-                        gamma=ar.gamma_for_end(int(rng.integers(1, 10_000))),
+                        gamma=gamma_for_end(int(rng.integers(1, 10_000))),
                         tag=f"b{counter}",
                     )
                 ]
@@ -114,19 +128,19 @@ def test_weights_simplex_under_births_and_deaths():
         if len(slots) > 2 and rng.random() < 0.05:  # death
             k = int(rng.integers(0, len(slots)))
             slots.take(k, k + 1)
-        p = ar.amlp_weights(slots)
+        p = amlp_weights(slots)
         assert abs(float(p.sum()) - 1.0) <= 1e-12
         assert np.all(p >= 0.0)
         ells = rng.uniform(0.0, 1.0, size=len(slots))
-        ar.amlp_update(slots, float(p @ ells), ells)
+        amlp_update(slots, float(p @ ells), ells)
 
 
 def test_gamma_for_end_values():
     # [TRIVIAL] ln(4 s^2)
-    assert ar.gamma_for_end(1) == pytest.approx(math.log(4.0))
-    assert ar.gamma_for_end(10) == pytest.approx(math.log(400.0))
+    assert gamma_for_end(1) == pytest.approx(math.log(4.0))
+    assert gamma_for_end(10) == pytest.approx(math.log(400.0))
     with pytest.raises(InputError):
-        ar.gamma_for_end(0)
+        gamma_for_end(0)
 
 
 def test_delta_capped():
@@ -145,7 +159,7 @@ def test_normalized_loss_range_and_center(rng):
         pts = rng.uniform(-0.5, 0.5, size=(4, 2))
         p = np.full(4, 0.25)
         w = p @ pts
-        ells = np.array([ar.normalized_loss(g, w, row, G, D) for row in pts])
+        ells = np.array([normalized_loss(g, w, row, G, D) for row in pts])
         assert np.all(ells >= 0.0) and np.all(ells <= 1.0)
         # the weighted normalized loss sits exactly at 1/2
         assert float(p @ ells) == pytest.approx(0.5, abs=1e-12)
@@ -153,7 +167,7 @@ def test_normalized_loss_range_and_center(rng):
 
 def test_normalized_loss_rejects_out_of_range():
     with pytest.raises(ar.InvariantViolation):
-        ar.normalized_loss(np.array([5.0]), np.array([0.0]), np.array([1.0]), 1.0, 1.0)
+        normalized_loss(np.array([5.0]), np.array([0.0]), np.array([1.0]), 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +178,7 @@ def _scan_fixed_point(slots, r_values, GD, C):
     # [DERIVED] dense scan of h(gamma) = sum p(gamma) r - gamma: coarse pass
     # over [0, C'], then a 1e-6-resolution pass around the coarse minimum.
     def resid(g):
-        p = ar.oamlp_weights(slots, (g - r_values) / GD)
+        p = oamlp_weights(slots, (g - r_values) / GD)
         return abs(float(p @ r_values) - g)
 
     hi = max(C, float(np.max(r_values)), 1e-3)
@@ -184,7 +198,7 @@ def test_fixed_point_matches_dense_scan():
             slots.sq_dev[i] = float(rng.uniform(0.0, 5.0))
         r_values = rng.uniform(0.0, 0.4, size=n)
         GD, C = 1.5, 0.5
-        hints, gamma_star, residual, _ = ar.optimism_fixed_point(
+        hints, gamma_star, residual, _ = optimism_fixed_point(
             slots, r_values, GD, C, tol=1e-9
         )
         assert residual <= 1e-9
@@ -196,14 +210,14 @@ def test_fixed_point_matches_dense_scan():
 def test_fixed_point_trivial_cases():
     slots = _fresh_slots(3)
     # zero regularizer bound
-    hints, g, res, steps = ar.optimism_fixed_point(
+    hints, g, res, steps = optimism_fixed_point(
         slots, np.zeros(3), 1.0, 0.0, tol=1e-6
     )
     assert g == 0.0 and res == 0.0 and steps == 0
     assert np.allclose(hints, 0.0)
     # all r equal: gamma* = r exactly
     r = np.full(3, 0.2)
-    hints, g, res, steps = ar.optimism_fixed_point(slots, r, 1.0, 0.3, tol=1e-6)
+    hints, g, res, steps = optimism_fixed_point(slots, r, 1.0, 0.3, tol=1e-6)
     assert g == pytest.approx(0.2, abs=1e-15)
     assert np.allclose(hints, 0.0)
 
@@ -213,7 +227,7 @@ def test_fixed_point_residual_below_tol():
     slots = _fresh_slots(6)
     r_values = rng.uniform(0.0, 1.0, size=6)
     for tol in (1e-3, 1e-6, 1e-10):
-        _, gamma_star, residual, _ = ar.optimism_fixed_point(
+        _, gamma_star, residual, _ = optimism_fixed_point(
             slots, r_values, 2.0, 1.0, tol=tol
         )
         assert residual <= tol
@@ -227,11 +241,11 @@ def test_fixed_point_residual_below_tol():
 def test_lemma_helper_values():
     # [TRIVIAL] direct arithmetic
     gamma = 2.0
-    gbar = ar.meta_lemma_gamma_bar(gamma, 10, 100)
+    gbar = meta_lemma_gamma_bar(gamma, 10, 100)
     assert gbar == pytest.approx(
         4.0 + math.log(10.0) + math.log(math.log(9.0 + 3600.0))
     )
-    rhs = ar.meta_lemma_rhs(gamma, 10, 100, 4.0)
+    rhs = meta_lemma_rhs(gamma, 10, 100, 4.0)
     assert rhs == pytest.approx((gbar / math.sqrt(2.0)) * math.sqrt(5.0) + 2 * gbar)
 
 
@@ -324,13 +338,13 @@ def test_meta_slots_match_per_slot_loops(d, optimistic):
     # the per-slot loops' bits
     rng = np.random.default_rng(31 * d + optimistic)
     G, D = 1.0, 2.0
-    records, slots, counter = [], ar.MetaSlots(), 0
+    records, slots, counter = [], MetaSlots(), 0
     for t in range(1, 301):
         if not records or rng.random() < 0.2:  # a cohort's birth
             end = int(rng.integers(t, 4 * t + 4))
             log_x = -math.log(5.0) if optimistic else 0.0
             block = [
-                MetaSlot(ar.gamma_for_end(end), f"c{counter}-{i}", log_x)
+                MetaSlot(gamma_for_end(end), f"c{counter}-{i}", log_x)
                 for i in range(int(rng.integers(1, 8)))
             ]
             counter += 1
@@ -347,21 +361,21 @@ def test_meta_slots_match_per_slot_loops(d, optimistic):
         g = rng.uniform(-1.0, 1.0, size=d) / math.sqrt(d)
         if optimistic:
             r_values = rng.uniform(0.0, 0.5, size=len(records))
-            got = ar.optimism_fixed_point(slots, r_values, G * D, 0.5, 1e-6)
+            got = optimism_fixed_point(slots, r_values, G * D, 0.5, 1e-6)
             want = _ref_fixed_point(records, r_values, G * D, 0.5, 1e-6)
             assert np.array_equal(got[0], want[0]) and got[1:] == want[1:]
-            p = ar.oamlp_weights(slots, got[0])
+            p = oamlp_weights(slots, got[0])
             assert np.array_equal(p, _ref_oamlp_weights(records, want[0]))
             ells = ((pts - p @ pts) @ g + r_values) / (G * D)
-            ar.oamlp_update(slots, float(p @ ells), ells, got[0])
+            oamlp_update(slots, float(p @ ells), ells, got[0])
             _ref_oamlp_update(records, float(p @ ells), ells, want[0])
         else:
-            p = ar.amlp_weights(slots)
+            p = amlp_weights(slots)
             assert np.array_equal(p, _ref_amlp_weights(records))
             w = p @ pts
-            ells = ar.normalized_loss(g, w, pts, G, D)
+            ells = normalized_loss(g, w, pts, G, D)
             assert np.array_equal(ells, [_ref_normalized_loss(g, w, x, G, D) for x in pts])
-            ar.amlp_update(slots, float(p @ ells), ells)
+            amlp_update(slots, float(p @ ells), ells)
             _ref_amlp_update(records, float(p @ ells), ells)
     _assert_same_state(slots, records)
 
@@ -379,11 +393,11 @@ def test_meta_weights_match_per_slot_loops_on_random_states():
         )
         for i in range(20_000)
     ]
-    slots = ar.MetaSlots(records)
+    slots = MetaSlots(records)
     hints = rng.uniform(-1.0, 1.0, size=len(records))
-    assert np.array_equal(ar.amlp_weights(slots), _ref_amlp_weights(records))
-    assert np.array_equal(ar.oamlp_weights(slots, hints), _ref_oamlp_weights(records, hints))
+    assert np.array_equal(amlp_weights(slots), _ref_amlp_weights(records))
+    assert np.array_equal(oamlp_weights(slots, hints), _ref_oamlp_weights(records, hints))
     ells = rng.uniform(0.0, 1.0, size=len(records))
-    ar.amlp_update(slots, 0.5, ells)
+    amlp_update(slots, 0.5, ells)
     _ref_amlp_update(records, 0.5, ells)
     _assert_same_state(slots, records)
