@@ -70,7 +70,6 @@ class LearnerConfig:
     horizon: int
     regularizer: Regularizer = field(default_factory=Regularizer)
     alpha: float | None = None  # declared exp-concavity (baseline-ons)
-    fixed_point_tol: float | None = None  # composite; default 1/horizon
     check_invariants: bool = True
 
     def __post_init__(self):
@@ -161,7 +160,6 @@ class MetaAggregator:
         check: bool = False,
         sink: Any = None,
     ):
-        self.dim = domain.dim
         self.G = G
         self.D = domain.diameter
         self.GD = G * self.D
@@ -237,7 +235,7 @@ class _LearnerBase:
         self.G = cfg.G
         self.D = cfg.domain.diameter
         self.reg = cfg.regularizer
-        self.fp_tol = cfg.fixed_point_tol or 1.0 / cfg.horizon
+        self.fp_tol = 1.0 / cfg.horizon  # composite optimism fixed-point tolerance
         self.t = 0
         self.grad_evals = 0
         self.meta_log: list[MetaLogRow] = []

@@ -7,7 +7,6 @@ written log2 explicitly.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -175,31 +174,22 @@ def _segment_events(
     raise InputError(f"unknown loss family {seg.family!r}")
 
 
-def generate_stream(cfg: StreamConfig, validate: bool = True) -> list[LossSpec]:
-    """Deterministic synthetic stream; same config + seed => identical events."""
+def generate_stream(cfg: StreamConfig) -> list[LossSpec]:
+    """Deterministic synthetic stream; same config + seed => identical events.
+
+    The first three events of each segment are checked against the domain
+    (gradient bound and declared curvature) with a generator of their own,
+    so the check draws nothing from the stream's."""
     rng = np.random.default_rng(cfg.seed)
     events: list[LossSpec] = []
     for seg in cfg.segments:
         seg_events = _segment_events(seg, cfg, rng)
-        if validate and seg_events:
+        if seg_events:
             check_rng = np.random.default_rng(cfg.seed + 1)
             for ev in seg_events[: min(3, len(seg_events))]:
                 check_loss_on_domain(ev, cfg.domain, check_rng, samples=10)
         events.extend(seg_events)
     return events
-
-
-def stream_rows(events: Sequence[LossSpec]) -> list[tuple]:
-    """Flat serialization: one row of (t, family, type, modulus, params-json)."""
-    rows = []
-    for t, ev in enumerate(events, start=1):
-        blob = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v) for k, v in sorted(ev.params.items())
-        }
-        rows.append(
-            (t, ev.family, ev.declared_type, ev.modulus, json.dumps(blob, sort_keys=True))
-        )
-    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -405,16 +395,17 @@ class _StreamEval:
         return np.concatenate(parts) if parts else np.zeros(0)
 
 
-# scipy's constants in _minimize_scalar_bounded
+# scipy's constants in _minimize_scalar_bounded, and the absolute tolerance
+# every one-dimensional comparator search uses
 _SQRT_EPS = math.sqrt(2.2e-16)
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+_XATOL = 1e-11
 
 
 def _bounded_brent(
     func: Callable[[Array, Array], Array],
     lo: Array,
     hi: Array,
-    xatol: float = 1e-11,
     maxiter: int = 500,
 ) -> tuple[Array, Array, Array]:
     """Bounded Brent minimization of K scalar functions in lockstep.
@@ -439,7 +430,7 @@ def _bounded_brent(
     num = 1
     while True:
         xm = 0.5 * (a + b)
-        tol1 = _SQRT_EPS * np.abs(xf) + xatol / 3.0
+        tol1 = _SQRT_EPS * np.abs(xf) + _XATOL / 3.0
         tol2 = 2.0 * tol1
         run = np.abs(xf - xm) > (tol2 - 0.5 * (b - a))
         if not run.all():
@@ -898,6 +889,9 @@ def cumulative_losses(
     return out
 
 
+_N_PROBES = 100  # random feasible points per dominance check
+
+
 def comparator_dominance_check(
     events: Sequence[LossSpec],
     p: int,
@@ -906,22 +900,21 @@ def comparator_dominance_check(
     comp_value: float,
     reg: Regularizer | None = None,
     candidates: Sequence[Array] = (),
-    n_random: int = 100,
     seed: int | None = None,
     stream: _StreamEval | None = None,
 ) -> float:
     """Raises unless comp_value <= window loss-sum at every probe point.
 
-    Probes n_random feasible points plus any supplied candidates. Returns the
-    smallest probed value. stream, an evaluator of the whole of events built
-    with the same reg, saves re-stacking the window.
+    Probes _N_PROBES random feasible points plus any supplied candidates.
+    Returns the smallest probed value. stream, an evaluator of the whole of
+    events built with the same reg, saves re-stacking the window.
     """
     rng = np.random.default_rng(seed if seed is not None else p * 1_000_003 + q)
     if domain.kind == "box":
-        # the same draws, in the same order, as n_random domain.sample calls
-        probes = list(rng.uniform(domain.lower, domain.upper, size=(n_random, domain.dim)))
+        # the same draws, in the same order, as _N_PROBES domain.sample calls
+        probes = list(rng.uniform(domain.lower, domain.upper, size=(_N_PROBES, domain.dim)))
     else:
-        probes = [domain.sample(rng) for _ in range(n_random)]
+        probes = [domain.sample(rng) for _ in range(_N_PROBES)]
     probes.extend(domain.project(c) for c in candidates)
     if stream is None:
         stream, first = _StreamEval(events[p - 1 : q], reg), 1

@@ -33,7 +33,7 @@ def make_absolute_stream(
         segments=[ar.SegmentSpec(horizon, "absolute", params=params)],
         seed=seed,
     )
-    return ar.generate_stream(cfg, validate=False)
+    return ar.generate_stream(cfg)
 
 
 def aggregate_quadratic(events, d):

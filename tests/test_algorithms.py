@@ -270,20 +270,6 @@ def test_composite_residual_and_identity(algo, box1):
         assert rec.optimism_gamma is not None
 
 
-def test_composite_fixed_point_tol_override(box1):
-    events = make_absolute_stream(16, box1, noise=0.3, seed=4)
-    cfg = _cfg(
-        "ums-comp",
-        box1,
-        16,
-        regularizer=ar.Regularizer("l1", 0.1),
-        fixed_point_tol=1e-8,
-    )
-    learner = ar.build_learner(cfg)
-    ar.run(learner, events)
-    assert learner.max_fixed_point_residual <= 1e-8
-
-
 def test_universal_expert_usage_errors(box1):
     # the aggregator behind every nesting level guards its point/update order
     exp = ar.algorithms.UniversalExpert(box1, 1.0, lifetime=8)

@@ -19,7 +19,6 @@ from adaregret.harness import (
     composite_expert_count,
     composite_phis,
     second_order_interval_check,
-    stream_rows,
 )
 from adaregret.intervals import iter_gc_intervals
 from tests.conftest import aggregate_quadratic, make_absolute_stream
@@ -27,6 +26,16 @@ from tests.conftest import aggregate_quadratic, make_absolute_stream
 
 # ---------------------------------------------------------------------------
 # Stream generation
+
+
+def _same_events(a, b):
+    """Equal family, declared type, modulus and params, event by event."""
+    return len(a) == len(b) and all(
+        (x.family, x.declared_type, x.modulus) == (y.family, y.declared_type, y.modulus)
+        and x.params.keys() == y.params.keys()
+        and all(np.array_equal(x.params[k], y.params[k]) for k in x.params)
+        for x, y in zip(a, b)
+    )
 
 
 def test_stream_reproducibility(ball2):
@@ -44,8 +53,8 @@ def test_stream_reproducibility(ball2):
     a = ar.generate_stream(ar.StreamConfig(**cfg, seed=7))
     b = ar.generate_stream(ar.StreamConfig(**cfg, seed=7))
     c = ar.generate_stream(ar.StreamConfig(**cfg, seed=8))
-    assert stream_rows(a) == stream_rows(b)
-    assert stream_rows(a) != stream_rows(c)
+    assert _same_events(a, b)
+    assert not _same_events(a, c)
     assert len(a) == 24 and all(isinstance(e, ar.LossSpec) for e in a)
 
 
@@ -748,7 +757,7 @@ def test_quadratic_comparators_step_cap_raises():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_dominance_probes_match_one_at_a_time(d, kind):
     # [DERIVED] the batched probe check returns the smallest value_sum over
-    # n_random Domain.sample draws plus the projected candidates, bit for bit,
+    # 100 Domain.sample draws plus the projected candidates, bit for bit,
     # with or without a whole-stream evaluator.
     from adaregret.harness import _StreamEval, _WindowEval
 
