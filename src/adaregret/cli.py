@@ -33,6 +33,8 @@ from .algorithms import (
     build_learner,
 )
 from .core import (
+    DECLARED_TYPES,
+    LOSS_FAMILIES,
     ConvergenceError,
     Domain,
     InputError,
@@ -91,18 +93,8 @@ CONFIG_SCHEMA = {
                 "required": ["length"],
                 "properties": {
                     "length": {"type": "integer", "minimum": 1},
-                    "family": {
-                        "enum": [
-                            "linear",
-                            "absolute",
-                            "quadratic",
-                            "squared-prediction",
-                            "log-like",
-                        ]
-                    },
-                    "declared_type": {
-                        "enum": ["convex", "exp-concave", "strongly-convex"]
-                    },
+                    "family": {"enum": list(LOSS_FAMILIES)},
+                    "declared_type": {"enum": list(DECLARED_TYPES)},
                     "modulus": {"type": "number", "exclusiveMinimum": 0},
                     "target": _VEC,
                     "scale": {"type": "number", "exclusiveMinimum": 0},

@@ -117,35 +117,6 @@ def _segment_events(
             )
         return events
 
-    if seg.family == "absolute":
-        scale = float(p.get("scale", G))
-        if scale > G + 1e-12:
-            raise InputError("absolute segment scale exceeds the gradient bound")
-        for _ in range(seg.length):
-            x = scale * rng.uniform(0.5, 1.0) * _unit(rng, d)
-            y = float(np.dot(x, target)) + noise * rng.uniform(-1.0, 1.0)
-            events.append(LossSpec("absolute", {"x": x, "y": y}, seg.declared_type, seg.modulus, G))
-        return events
-
-    if seg.family == "squared-prediction":
-        scale = float(p.get("scale", 0.5 * G))
-        y_max = scale * float(np.linalg.norm(target)) + noise
-        B = scale * W + y_max  # worst-case |<x,w> - y| over the domain
-        if 2.0 * B * scale > G + 1e-9:
-            raise InputError("squared-prediction segment violates the gradient bound")
-        alpha_true = 1.0 / (2.0 * B * B)
-        if seg.modulus is not None and seg.modulus > alpha_true + 1e-12:
-            raise InputError(
-                f"declared exp-concavity {seg.modulus} exceeds attainable {alpha_true:.6g}"
-            )
-        for _ in range(seg.length):
-            x = scale * rng.uniform(0.5, 1.0) * _unit(rng, d)
-            y = float(np.dot(x, target)) + noise * rng.uniform(-1.0, 1.0)
-            events.append(
-                LossSpec("squared-prediction", {"x": x, "y": y}, seg.declared_type, seg.modulus, G)
-            )
-        return events
-
     if seg.family == "quadratic":
         lam = seg.modulus if seg.modulus is not None else float(p.get("lam", 1.0))
         b_scale = float(p.get("b_scale", 0.0))
@@ -161,17 +132,31 @@ def _segment_events(
             )
         return events
 
-    if seg.family == "log-like":
+    if seg.family not in ("absolute", "squared-prediction", "log-like"):
+        raise InputError(f"unknown loss family {seg.family!r}")
+    if seg.family == "squared-prediction":
+        scale = float(p.get("scale", 0.5 * G))
+        y_max = scale * float(np.linalg.norm(target)) + noise
+        B = scale * W + y_max  # worst-case |<x,w> - y| over the domain
+        if 2.0 * B * scale > G + 1e-9:
+            raise InputError("squared-prediction segment violates the gradient bound")
+        alpha_true = 1.0 / (2.0 * B * B)
+        if seg.modulus is not None and seg.modulus > alpha_true + 1e-12:
+            raise InputError(
+                f"declared exp-concavity {seg.modulus} exceeds attainable {alpha_true:.6g}"
+            )
+    else:
         scale = float(p.get("scale", G))
         if scale > G + 1e-12:
-            raise InputError("log-like segment scale exceeds the gradient bound")
-        for _ in range(seg.length):
-            x = scale * rng.uniform(0.5, 1.0) * _unit(rng, d)
-            y = 1.0 if float(np.dot(x, target)) + noise * rng.uniform(-1.0, 1.0) >= 0 else -1.0
-            events.append(LossSpec("log-like", {"x": x, "y": y}, seg.declared_type, seg.modulus, G))
-        return events
-
-    raise InputError(f"unknown loss family {seg.family!r}")
+            raise InputError(f"{seg.family} segment scale exceeds the gradient bound")
+    # one draw path for the (x, y) families; log-like keeps only the sign of y
+    for _ in range(seg.length):
+        x = scale * rng.uniform(0.5, 1.0) * _unit(rng, d)
+        y = float(np.dot(x, target)) + noise * rng.uniform(-1.0, 1.0)
+        if seg.family == "log-like":
+            y = 1.0 if y >= 0 else -1.0
+        events.append(LossSpec(seg.family, {"x": x, "y": y}, seg.declared_type, seg.modulus, G))
+    return events
 
 
 def generate_stream(cfg: StreamConfig) -> list[LossSpec]:
