@@ -223,6 +223,15 @@ class Regularizer:
             return self.weight * np.sum(np.abs(X), axis=1)
         return self.weight * row_dots(X, X)
 
+    def subgradient_rows(self, X: Array) -> Array:
+        """A subgradient of r at every row of the n x d array X (for l1,
+        weight * sign(x), which takes 0 where a coordinate is 0)."""
+        if self.is_zero:
+            return np.zeros_like(X)
+        if self.kind == "l1":
+            return self.weight * np.sign(X)
+        return 2.0 * self.weight * X
+
     def prox(self, x: Any, scale: float) -> Array:
         """argmin_z 0.5||z - x||^2 + scale * r(z)."""
         v = as_vector(x)

@@ -411,7 +411,7 @@ def test_criterion_07_switch_recovery():
         for recs, sink in ((recs_a, adaptives), (recs_b, baselines)):
             pts = [r.w for r in recs]
             prefix = ar.cumulative_losses(events, pts)
-            emp, _ = ar.interval_regret(events, prefix, flip + 1, T, domain, trajectory=pts)
+            emp, _ = ar.interval_regret(events, prefix, flip + 1, T, domain)
             sink.append(emp)
     mean_adaptive = float(np.mean(adaptives))
     mean_baseline = float(np.mean(baselines))

@@ -238,6 +238,26 @@ def test_main_invariant_violation_exit_code(tmp_path, monkeypatch, capsys):
     assert "invariant violation" in capsys.readouterr().err
 
 
+def test_main_exit_code_when_a_comparator_fails_its_certificate(tmp_path, monkeypatch, capsys):
+    # a d=1 run whose comparator claims a gap that no longer supports its
+    # value ends on the invariant-violation exit, with no traceback
+    import adaregret.harness as harness
+
+    brent = harness._brent_points
+
+    def loose(*args):
+        W, further, gap = brent(*args)
+        return W, further, gap + 0.5
+
+    monkeypatch.setattr(harness, "_brent_points", loose)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(base_config()))
+    assert cli.main(["--config", str(cfg_path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "invariant violation" in err and "comparator-optimality" in err
+    assert "Traceback" not in err
+
+
 def test_main_convergence_error_exit_code(tmp_path, monkeypatch, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(base_config()))

@@ -231,6 +231,22 @@ def test_regularizer_values_nonnegative(rng, ball2):
             assert reg.value(ball2.sample(rng)) >= 0.0
 
 
+def test_regularizer_subgradient_rows(rng):
+    # each row is a subgradient: r(z) >= r(x) + <s, z - x> for every z,
+    # including points with zero coordinates (l1 takes sign(0) = 0 there)
+    X = rng.normal(size=(40, 3))
+    X[::4, 1] = 0.0
+    Z = rng.normal(size=(40, 3))
+    for kind, w in (("none", 0.0), ("l1", 0.4), ("squared-l2", 0.2)):
+        reg = ar.Regularizer(kind, w)
+        S = reg.subgradient_rows(X)
+        assert S.shape == X.shape
+        for x, s in zip(X, S):
+            for z in Z:
+                assert reg.value(z) >= reg.value(x) + float(np.dot(s, z - x)) - 1e-12
+    assert not ar.Regularizer("l1", 0.4).subgradient_rows(np.zeros((1, 2))).any()
+
+
 # ---------------------------------------------------------------------------
 # Loss specs
 

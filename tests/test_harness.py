@@ -15,7 +15,6 @@ from adaregret.harness import (
     bound_constant_c,
     bound_constant_h,
     bound_constant_xi,
-    comparator_dominance_check,
     composite_expert_count,
     composite_phis,
     second_order_interval_check,
@@ -589,7 +588,7 @@ def test_batched_values_match_value_sum(d):
     # [DERIVED] the stream evaluator's batched sum objective equals
     # _WindowEval.value_sum at every point, bit for bit, on windows that
     # straddle family switches.
-    from adaregret.harness import _StreamEval, _WindowEval
+    from adaregret.harness import _StreamEval, _sum_values, _WindowEval
 
     rng = np.random.default_rng(d)
     events = _mixed_stream(rng, d, _SWITCHING)
@@ -598,7 +597,32 @@ def test_batched_values_match_value_sum(d):
         stream = _StreamEval(events, reg)
         for p, q in ((1, len(events)), (10, 30), (13, 13), (20, 45)):
             ev = _WindowEval(events[p - 1 : q], reg)
-            assert stream.values(p, q, W).tolist() == [ev.value_sum(w) for w in W]
+            [(_, layout)] = stream.layouts(np.array([p]), np.array([q]))
+            groups = stream.gather(np.array([p]), layout)
+            got = _sum_values(groups, q - p + 1, reg, W)
+            assert got.tolist() == [ev.value_sum(w) for w in W]
+
+
+def test_scalar_slopes_match_central_differences():
+    # [DERIVED] the d = 1 certificate's slopes are the derivative of the sum
+    # objective (every family, every regularizer) away from kinks, and the
+    # magnitude that scales their round-off bounds the slope
+    from adaregret.harness import _StreamEval, _sum_slopes, _sum_values
+
+    rng = np.random.default_rng(6)
+    events = _mixed_stream(rng, 1, _SWITCHING)
+    z = rng.uniform(-0.9, 0.9, size=5)
+    for reg in _REGS.values():
+        stream = _StreamEval(events, reg)
+        for p, q in ((1, len(events)), (10, 30), (13, 13), (20, 45), (41, 53)):
+            [(_, layout)] = stream.layouts(np.array([p]), np.array([q]))
+            groups, n = stream.gather(np.array([p]), layout), q - p + 1
+            slope, size = _sum_slopes(groups, n, reg, z)
+            h = 1e-6
+            up = _sum_values(groups, n, reg, (z + h)[:, None])
+            down = _sum_values(groups, n, reg, (z - h)[:, None])
+            assert np.allclose(slope, (up - down) / (2 * h), rtol=0, atol=1e-6)
+            assert (np.abs(slope) <= size).all()
 
 
 def _quadratic_comparator_reference(events, dom, reg):
@@ -753,56 +777,134 @@ def test_quadratic_comparators_step_cap_raises():
     assert "2 steps" in str(exc.value) and exc.value.residual > 1e-12
 
 
-@pytest.mark.parametrize("kind", ["box", "ball"])
-@pytest.mark.parametrize("d", [1, 2, 3])
-def test_dominance_probes_match_one_at_a_time(d, kind):
-    # [DERIVED] the batched probe check returns the smallest value_sum over
-    # 100 Domain.sample draws plus the projected candidates, bit for bit,
-    # with or without a whole-stream evaluator.
-    from adaregret.harness import _StreamEval, _WindowEval
-
-    rng = np.random.default_rng(10 + d)
-    if kind == "box":
-        dom = ar.Domain.box(rng.uniform(-1.0, -0.2, size=d), rng.uniform(0.1, 1.0, size=d))
-    else:
-        dom = ar.Domain.ball(rng.uniform(-0.3, 0.3, size=d), 0.8)
-    events = _mixed_stream(rng, d, _SWITCHING)
-    reg = ar.Regularizer("l1", 0.1)
-    candidates = [rng.uniform(-2.0, 2.0, size=d) for _ in range(4)]
-    for p, q in ((3, 30), (40, 53)):
-        draws = np.random.default_rng(p * 1_000_003 + q)
-        probes = [dom.sample(draws) for _ in range(100)] + [dom.project(c) for c in candidates]
-        ev = _WindowEval(events[p - 1 : q], reg)
-        want = min(ev.value_sum(w) for w in probes)
-        for stream in (None, _StreamEval(events, reg)):
-            got = comparator_dominance_check(
-                events, p, q, dom, -1e9, reg=reg, candidates=candidates, stream=stream
-            )
-            assert got == want
+def _weighted_median_minimum(xs, ys, n, weight, lo, hi):
+    """[REFERENCE] min over [lo, hi] of sum_t |x_t w - y_t| + n * weight * |w|:
+    the objective is sum_t |x_t| |w - y_t / x_t| + n * weight * |w - 0|, so
+    a weighted median of the kinks, clipped to [lo, hi], attains it; the value
+    there is summed exactly (math.fsum)."""
+    kinks = np.append(ys / xs, 0.0)
+    weights = np.append(np.abs(xs), n * weight)
+    order = np.argsort(kinks)
+    cum = np.cumsum(weights[order])
+    w = float(np.clip(kinks[order][np.searchsorted(cum, 0.5 * cum[-1])], lo, hi))
+    return math.fsum([abs(x * w - y) for x, y in zip(xs, ys)] + [n * weight * abs(w)])
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5])
-def test_box_probe_draws_match_domain_sample(d):
-    # [DERIVED] one bulk uniform draw on a box gives the points, in order, of
-    # 100 Domain.sample calls on the same generator
-    rng = np.random.default_rng(d)
-    dom = ar.Domain.box(rng.uniform(-2.0, 0.0, size=d), rng.uniform(0.0, 2.0, size=d))
-    for seed in range(20):
-        bulk = np.random.default_rng(seed).uniform(dom.lower, dom.upper, size=(100, d))
-        one_by_one = np.random.default_rng(seed)
-        assert bulk.tolist() == [dom.sample(one_by_one).tolist() for _ in range(100)]
+@pytest.mark.parametrize("where", ["interior", "at-lo", "at-hi"])
+@pytest.mark.parametrize("reg", ["none", "l1"])
+@pytest.mark.parametrize("dom", sorted(_DOMAINS_1D))
+def test_scalar_certificate_lies_below_the_weighted_median_minimum(dom, reg, where):
+    # [DERIVED] on one-dimensional absolute windows of every length, the lower
+    # bound the d = 1 path certifies (its point's value less its gap) lies at
+    # or below the exact minimum, and within the comparator slack of the value
+    import adaregret.harness as harness
+
+    dom, reg = _DOMAINS_1D[dom], _REGS[reg]
+    lo, hi = _bounds_1d(dom)
+    target = {"interior": 0.1, "at-lo": lo - 0.6, "at-hi": hi + 0.6}[where]
+    rng = np.random.default_rng(17)
+    T = 96
+    xs = rng.choice([-1.0, 1.0], size=T) * rng.uniform(0.5, 1.0, size=T)
+    ys = xs * target + rng.uniform(-0.3, 0.3, size=T)
+    events = [ar.LossSpec("absolute", {"x": np.array([x]), "y": float(y)}) for x, y in zip(xs, ys)]
+    stream = harness._StreamEval(events, reg)
+    weight = 0.0 if reg.is_zero else reg.weight
+    for n in (1, 2, 5, 31, T):
+        starts = np.arange(1, T - n + 2)
+        [(_, layout)] = stream.layouts(starts, starts + n - 1)
+        groups = stream.gather(starts, layout)
+        W, _, gap = harness._brent_points(stream, starts, layout, n, dom, groups)
+        value = harness._sum_values(groups, n, reg, W)
+        lower = value - gap
+        assert (gap >= 0.0).all()
+        assert (gap <= 1e-9 * (1.0 + np.abs(value)) + 1e-6 * n).all()
+        for k, p in enumerate(starts.tolist()):
+            exact = _weighted_median_minimum(xs[p - 1 : p - 1 + n], ys[p - 1 : p - 1 + n], n, weight, lo, hi)
+            assert lower[k] <= exact
 
 
-def test_dominance_check(box1):
+def _certified_comparators(monkeypatch, stream, ps, qs, dom):
+    """`_comparators` on the windows [ps[k], qs[k]], with the (ps, qs, values,
+    lower) arrays that its certificate check saw, concatenated over chunks."""
+    import adaregret.harness as harness
+
+    seen = []
+    check = harness.comparator_dominance_check
+
+    def record(*args):
+        seen.append(args)
+        check(*args)
+
+    monkeypatch.setattr(harness, "comparator_dominance_check", record)
+    W, V = harness._comparators(stream, ps, qs, dom)
+    return W, V, [np.concatenate(column) for column in zip(*seen)]
+
+
+_PATH_CASES = {
+    # path -> (d, stream, domain, regularizer)
+    "brent": (1, lambda: _mixed_stream(np.random.default_rng(3), 1, _SWITCHING), "box", "l1"),
+    "linear": (2, lambda: _quadratic_stream(2), "ball", "none"),
+    "solve": (2, lambda: _quadratic_stream(2), "ball", "none"),
+    "prox": (5, lambda: _quadratic_stream(5), "off-ball", "l1"),
+    "ellipsoid": (2, lambda: _mixed_stream(np.random.default_rng(4), 2, _SWITCHING[:2]), "box", "none"),
+}
+
+
+@pytest.mark.parametrize("path", sorted(_PATH_CASES))
+def test_certificate_passes_the_comparator_and_rejects_an_inflated_value(path, monkeypatch):
+    # [DERIVED] on each comparator path, every window's returned value passes
+    # the certificate check (the value lies within the comparator slack of its
+    # certified lower bound), and the same value inflated by 0.5 is rejected
+    import adaregret.harness as harness
+
+    d, make, dom, reg = _PATH_CASES[path]
+    events = make()
+    dom = _DOMAINS_1D[dom] if d == 1 else _DOMAINS_ND[dom](d)
+    reg = _REGS[reg]
+    T = len(events)
+    windows = [(p, p + n - 1) for n in (1, 2, 3, 5, T) for p in range(1, T - n + 2)]
+    if d > 1:  # the windows that take this path
+        windows = [
+            (p, q) for p, q in windows
+            if _quadratic_comparator_reference(events[p - 1 : q], dom, reg)[2] == path
+        ]
+    assert windows
+    ps, qs = (np.array(v) for v in zip(*windows))
+    stream = harness._StreamEval(events, reg)
+    W, V, (seen_p, seen_q, values, lower) = _certified_comparators(monkeypatch, stream, ps, qs, dom)
+    assert sorted(zip(seen_p.tolist(), seen_q.tolist())) == sorted(windows)
+    assert sorted(values.tolist()) == sorted(V.tolist())
+    assert (lower <= values).all()
+    slack = 1e-9 * (1.0 + np.abs(values)) + 1e-6 * (seen_q - seen_p + 1)
+    assert (values - lower <= slack).all()
+    for k in range(len(values)):
+        inflated = values.copy()
+        inflated[k] += 0.5
+        with pytest.raises(ar.InvariantViolation) as exc:
+            harness.comparator_dominance_check(seen_p, seen_q, inflated, lower)
+        assert exc.value.name == "comparator-optimality"
+        assert f"[{seen_p[k]},{seen_q[k]}]" in str(exc.value)
+
+
+def test_planted_gap_fails_the_comparator_certificate(box1, monkeypatch):
+    # [DERIVED] a proposer whose gap no longer supports its value stops the
+    # driver with comparator-optimality; a NaN gap fails too
+    import adaregret.harness as harness
+
     events = make_absolute_stream(8, box1, noise=0.3, seed=5)
-    _, val = ar.offline_comparator(events, 1, 8, box1)
-    # the true optimum dominates every probe
-    low = comparator_dominance_check(events, 1, 8, box1, val, seed=0)
-    assert low >= val - 1e-12
-    # an inflated "comparator value" is beaten by some probe
-    with pytest.raises(ar.InvariantViolation) as exc:
-        comparator_dominance_check(events, 1, 8, box1, val + 0.5, seed=0)
-    assert exc.value.name == "comparator-optimality"
+    stream = harness._StreamEval(events, None)
+    ps = np.array([1, 2, 3])
+    harness._comparators(stream, ps, ps + 5, box1)
+    brent = harness._brent_points
+    for planted in (0.5, math.nan):
+        def loose(*args, planted=planted):
+            W, further, gap = brent(*args)
+            return W, further, gap + planted
+
+        monkeypatch.setattr(harness, "_brent_points", loose)
+        with pytest.raises(ar.InvariantViolation) as exc:
+            harness._comparators(stream, ps, ps + 5, box1)
+        assert exc.value.name == "comparator-optimality"
 
 
 def test_playing_comparator_gives_zero_regret(box1):
@@ -810,7 +912,7 @@ def test_playing_comparator_gives_zero_regret(box1):
     w, _ = ar.offline_comparator(events, 1, 20, box1)
     pts = [w] * 20
     prefix = ar.cumulative_losses(events, pts)
-    emp, _ = ar.interval_regret(events, prefix, 1, 20, box1, trajectory=pts)
+    emp, _ = ar.interval_regret(events, prefix, 1, 20, box1)
     assert abs(emp) <= 1e-9
 
 
@@ -825,11 +927,11 @@ def test_flip_stream_interval_regret_closed_form(ball2):
     prefix = ar.cumulative_losses(events, pts)
     for (p, q) in [(33, 64), (40, 47), (50, 50)]:
         tau = q - p + 1
-        emp, comp = ar.interval_regret(events, prefix, p, q, ball2, trajectory=pts)
+        emp, comp = ar.interval_regret(events, prefix, p, q, ball2)
         assert comp == pytest.approx(-0.8 * tau, abs=1e-12)
         assert emp == pytest.approx(2 * 0.8 * tau, abs=1e-12)
     # the full horizon nets out to zero for both learner and comparator
-    emp, comp = ar.interval_regret(events, prefix, 1, 64, ball2, trajectory=pts)
+    emp, comp = ar.interval_regret(events, prefix, 1, 64, ball2)
     assert comp == pytest.approx(0.0, abs=1e-12)
     assert emp == pytest.approx(0.0, abs=1e-12)
 
